@@ -31,8 +31,9 @@
 #                  asserted from the fleet's own /metrics
 #   make bench-queue — the durable-queue benchmark behind BENCH_queue.json
 #                  (enqueue/drain throughput, journal replay at 10k jobs)
-#   make bench   — the parallel-layer benchmarks behind BENCH_parallel.json
-#   make bench-matrix — the similarity/eigen/k-means/sweep benchmarks across
+#   make bench   — the parallel-layer benchmarks behind BENCH_parallel.json,
+#                  plus the k=32 Lanczos solve (matvecs/op, allocs/op)
+#   make bench-matrix — the similarity/Lanczos/eigen/k-means/sweep benchmarks across
 #                  BOOTES_WORKERS ∈ {1,2,4,max} plus the end-to-end
 #                  similarity-tier run that regenerates BENCH_fastpath.json
 #   make report  — regenerate the reproduction report at the default scale
@@ -123,6 +124,7 @@ fuzz:
 bench:
 	$(GO) test ./internal/sparse/ -run XXX -bench 'Similarity|SpMV' -benchtime 10x
 	$(GO) test ./internal/cluster/ -run XXX -bench KMeans -benchtime 10x
+	$(GO) test ./internal/eigen/ -run XXX -bench Lanczos -benchtime 3x
 	$(GO) test ./internal/core/ -run XXX -bench 'Eigensolve|Sweep' -benchtime 5x
 
 # Fast-path benchmark matrix: the similarity/eigensolver/k-means/sweep
@@ -136,6 +138,7 @@ bench-matrix:
 		echo "=== BOOTES_WORKERS=$${BOOTES_WORKERS:-max}"; \
 		$(GO) test ./internal/sparse/ -run XXX -bench 'Similarity|SpMV' -benchtime 10x || exit 1; \
 		$(GO) test ./internal/cluster/ -run XXX -bench KMeans -benchtime 10x || exit 1; \
+		$(GO) test ./internal/eigen/ -run XXX -bench Lanczos -benchtime 3x || exit 1; \
 		$(GO) test ./internal/core/ -run XXX -bench 'Eigensolve|Sweep' -benchtime 5x || exit 1; \
 	done
 	$(GO) run ./cmd/benchfast -rows 20000 -nnz 48 -workers 1,2,4,0 -seed 7 -reps 3 -out BENCH_fastpath.json

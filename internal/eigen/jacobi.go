@@ -3,14 +3,14 @@ package eigen
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // JacobiEigen computes all eigenvalues and eigenvectors of a dense symmetric
 // n×n matrix a (row-major, length n*n) with the cyclic Jacobi rotation
-// method. It is O(n³) per sweep and intended as the reference solver for
-// tests and for tiny projected problems. a is not modified. Eigenvalues are
-// ascending; eigenvector i is the i-th column of v (row-major).
+// method. It is O(n³) per sweep; it solves the dense fallback for tiny
+// operators and BlockLargest's small projected problems, and is the
+// reference solver in tests. a is not modified. Eigenvalues are ascending;
+// eigenvector i is the i-th column of v (row-major).
 func JacobiEigen(a []float64, n int) (eig []float64, v []float64, err error) {
 	if len(a) != n*n {
 		return nil, nil, errors.New("eigen: dense matrix size mismatch")
@@ -33,21 +33,8 @@ func JacobiEigen(a []float64, n int) (eig []float64, v []float64, err error) {
 			for i := 0; i < n; i++ {
 				eig[i] = m[i*n+i]
 			}
-			// Sort ascending with eigenvectors.
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Slice(idx, func(x, y int) bool { return eig[idx[x]] < eig[idx[y]] })
-			se := make([]float64, n)
-			sv := make([]float64, n*n)
-			for newCol, oldCol := range idx {
-				se[newCol] = eig[oldCol]
-				for row := 0; row < n; row++ {
-					sv[row*n+newCol] = v[row*n+oldCol]
-				}
-			}
-			return se, sv, nil
+			eig, v = sortAscending(eig, v, n)
+			return eig, v, nil
 		}
 		for p := 0; p < n; p++ {
 			for q := p + 1; q < n; q++ {

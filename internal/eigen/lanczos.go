@@ -60,7 +60,8 @@ func (o Options) withDefaults(n int) Options {
 }
 
 // Result holds converged eigenpairs of the operator, largest eigenvalue
-// first. Vectors[i] is the unit eigenvector for Values[i].
+// first. Vectors[i] is the unit eigenvector for Values[i]; on the Lanczos
+// path its largest-magnitude entry is positive (see canonicalSign).
 type Result struct {
 	Values  []float64
 	Vectors [][]float64
@@ -154,16 +155,22 @@ func denseLargest(ctx context.Context, op Operator, k int) (*Result, error) {
 // thickRestartLanczos implements the Wu–Simon thick-restart scheme. The
 // basis is kept fully orthogonal; after each cycle the top Ritz vectors are
 // retained and the projected problem becomes arrowhead-plus-tridiagonal,
-// which we solve densely (it is at most MaxBasis × MaxBasis).
+// which we solve densely (it is at most MaxBasis × MaxBasis) by Householder
+// tridiagonalization and QL.
+//
+// The dense work on length-n vectors — reorthogonalization and Ritz-vector
+// formation — runs through the row-chunked krylovWork kernels, so it is
+// spread over the worker pool and bit-identical for any worker count; the
+// only length-n storage is the workspace and the returned vectors.
 func thickRestartLanczos(ctx context.Context, op Operator, opts Options) (*Result, error) {
 	n := op.Dim()
 	m := opts.MaxBasis
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x1a2c3))
+	ws := newKrylovWork(n, m)
 
-	// basis holds up to m+1 orthonormal vectors of length n.
-	basis := make([][]float64, 0, m+1)
-	v := randomUnit(rng, n)
-	basis = append(basis, v)
+	// The basis holds cnt ≤ m+1 orthonormal vectors of length n.
+	randomUnit(rng, ws.vec(ws.basis, 0))
+	cnt := 1
 
 	// proj is the projected symmetric matrix in the current basis,
 	// stored dense row-major (size grows with the basis).
@@ -173,82 +180,81 @@ func thickRestartLanczos(ctx context.Context, op Operator, opts Options) (*Resul
 		proj[i*(m+1)+j] = x
 		proj[j*(m+1)+i] = x
 	}
+	subBuf := make([]float64, m*m)
 
 	matvecs := 0
-	w := make([]float64, n)
 	kept := 0 // size of the retained Ritz block after the latest restart
 
 	for restart := 0; restart <= opts.MaxRestarts; restart++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Extend the basis with Lanczos steps from position len(basis)-1.
-		for len(basis) <= m {
+		// Extend the basis with Lanczos steps from position cnt-1. The next
+		// slot receives Op·v_j and is orthogonalized in place.
+		for cnt <= m {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			j := len(basis) - 1
-			if err := op.Apply(basis[j], w); err != nil {
+			j := cnt - 1
+			w := ws.vec(ws.basis, cnt)
+			if err := op.Apply(ws.vec(ws.basis, j), w); err != nil {
 				return nil, err
 			}
 			matvecs++
+			var beta float64
 			if opts.LocalReorth && j > kept {
 				// Three-term recurrence: only v_{j-1} and v_j carry weight
 				// in exact arithmetic (plus the arrow block at j == kept,
 				// handled by the branch condition). H entries beyond the
 				// tridiagonal couple are left at their recorded values.
 				for _, i := range []int{j - 1, j} {
-					d := dot(w, basis[i])
-					axpy(w, basis[i], -d)
+					b := ws.vec(ws.basis, i)
+					d := dot(w, b)
+					axpy(w, b, -d)
 					set(i, j, d)
 				}
+				beta = norm(w)
 			} else {
-				// Full reorthogonalization (two modified Gram-Schmidt
-				// passes). Because the basis is orthonormal, the pass-0
-				// coefficients are exactly the projected-matrix entries
-				// H[i,j] = ⟨v_i, Op·v_j⟩ (they overwrite the β coupling
-				// recorded at the previous step, which equals the same
-				// projection); pass 1 removes round-off.
-				for pass := 0; pass < 2; pass++ {
-					for i, b := range basis {
-						d := dot(w, b)
-						axpy(w, b, -d)
-						if pass == 0 {
-							set(i, j, d)
-						}
-					}
+				// Full reorthogonalization (CGS2). Because the basis is
+				// orthonormal, the first pass's coefficients are exactly the
+				// projected-matrix entries H[i,j] = ⟨v_i, Op·v_j⟩ (they
+				// overwrite the β coupling recorded at the previous step,
+				// which equals the same projection); the second pass removes
+				// round-off.
+				h, nrm := ws.reorth(ws.basis, cnt, w)
+				for i, d := range h {
+					set(i, j, d)
 				}
+				beta = nrm
 			}
-			beta := norm(w)
 			if beta < 1e-12 {
 				// Invariant subspace: continue with a fresh random direction.
-				v = randomUnit(rng, n)
-				orthogonalize(v, basis)
-				if norm(v) < 1e-12 {
+				randomUnit(rng, w)
+				_, nv := ws.reorth(ws.basis, cnt, w)
+				if nv < 1e-12 {
 					break // dimension exhausted
 				}
-				scale(v, 1/norm(v))
-				basis = append(basis, v)
+				scale(w, 1/nv)
+				cnt++
 				// Coupling to the rest of the basis is zero (already set).
 				continue
 			}
-			nv := append([]float64(nil), w...)
-			scale(nv, 1/beta)
-			set(j, len(basis), beta)
-			basis = append(basis, nv)
+			scale(w, 1/beta)
+			set(j, cnt, beta)
+			cnt++
 		}
 
-		// Rayleigh–Ritz on the projected matrix of order q = len(basis)-1
-		// (the last basis vector is the residual direction, not part of the
-		// projection — its coupling column is the residual norm).
-		q := len(basis) - 1
-		sub := make([]float64, q*q)
+		// Rayleigh–Ritz on the projected matrix of order q = cnt-1 (the last
+		// basis vector is the residual direction, not part of the projection
+		// — its coupling column is the residual norm).
+		q := cnt - 1
+		sub := subBuf[:q*q]
 		for i := 0; i < q; i++ {
 			for j := 0; j < q; j++ {
 				sub[i*q+j] = at(i, j)
 			}
 		}
-		eig, z, err := JacobiEigen(sub, q)
+		eig, z, err := symEigen(sub, q)
 		if err != nil {
 			return nil, err
 		}
@@ -278,69 +284,50 @@ func thickRestartLanczos(ctx context.Context, op Operator, opts Options) (*Resul
 				break
 			}
 		}
+		result := func(vecs []float64) *Result {
+			res := &Result{MatVecs: matvecs, Converged: allConverged}
+			for i := 0; i < opts.K; i++ {
+				v := ws.vec(vecs, i)
+				canonicalSign(v)
+				res.Values = append(res.Values, eig[q-1-i])
+				res.Vectors = append(res.Vectors, v)
+			}
+			return res
+		}
 
-		// Form Ritz vectors we keep: K wanted plus padding for restart.
+		// Form the Ritz vectors we keep: K wanted plus padding for restart.
+		// The final ones go to a fresh K-vector block the caller owns.
+		if allConverged || restart == opts.MaxRestarts || q >= n-1 {
+			out := make([]float64, opts.K*n)
+			ws.ritzVectors(out, q, z, opts.K)
+			return result(out), nil
+		}
 		keep := opts.K + minInt(opts.K, 8)
 		if keep > q {
 			keep = q
 		}
-		if allConverged || restart == opts.MaxRestarts || q >= n-1 {
-			keep = opts.K
+		if ws.ritz == nil {
+			ws.ritz = make([]float64, len(ws.basis))
 		}
-		ritz := make([][]float64, keep)
-		for i := 0; i < keep; i++ {
-			col := q - 1 - i
-			vec := make([]float64, n)
-			for j := 0; j < q; j++ {
-				c := z[j*q+col]
-				if c != 0 {
-					axpy(vec, basis[j], c)
-				}
-			}
-			nv := norm(vec)
-			if nv > 0 {
-				scale(vec, 1/nv)
-			}
-			ritz[i] = vec
-		}
-
-		if allConverged || restart == opts.MaxRestarts || q >= n-1 {
-			res := &Result{MatVecs: matvecs, Converged: allConverged}
-			for i := 0; i < opts.K; i++ {
-				res.Values = append(res.Values, eig[q-1-i])
-				res.Vectors = append(res.Vectors, ritz[i])
-			}
-			return res, nil
-		}
+		ws.ritzVectors(ws.ritz, q, z, keep)
 
 		// Thick restart: basis = retained Ritz vectors + residual direction.
-		residVec := basis[q]
-		newBasis := make([][]float64, 0, m+1)
-		newBasis = append(newBasis, ritz...)
-		orthogonalize(residVec, newBasis)
-		nv := norm(residVec)
+		residVec := ws.vec(ws.ritz, keep)
+		copy(residVec, ws.vec(ws.basis, q))
+		_, nv := ws.reorth(ws.ritz, keep, residVec)
 		if nv < 1e-12 {
-			residVec = randomUnit(rng, n)
-			orthogonalize(residVec, newBasis)
-			nv = norm(residVec)
-			if nv < 1e-12 {
-				res := &Result{MatVecs: matvecs, Converged: allConverged}
-				for i := 0; i < opts.K; i++ {
-					res.Values = append(res.Values, eig[q-1-i])
-					res.Vectors = append(res.Vectors, ritz[i])
-				}
-				return res, nil
+			randomUnit(rng, residVec)
+			if _, nv = ws.reorth(ws.ritz, keep, residVec); nv < 1e-12 {
+				return result(ws.ritz), nil
 			}
 		}
 		scale(residVec, 1/nv)
-		newBasis = append(newBasis, residVec)
-		basis = newBasis
+		ws.basis, ws.ritz = ws.ritz, ws.basis
+		cnt = keep + 1
 		kept = keep
 
 		// Rebuild the projected matrix: diag(theta) with arrow coupling.
-		for i := range proj {
-			proj[i] = 0
-		}
+		clear(proj)
 		for i := 0; i < keep; i++ {
 			col := q - 1 - i
 			set(i, i, eig[col])
@@ -354,35 +341,29 @@ func thickRestartLanczos(ctx context.Context, op Operator, opts Options) (*Resul
 	return nil, ErrNoConverge
 }
 
-// SmallestLaplacian converts the K largest eigenpairs of the normalized
-// similarity M into the K smallest eigenpairs of the normalized Laplacian
-// L = I − M (eigenvectors are shared; eigenvalues map to 1−θ).
-func SmallestLaplacian(op Operator, opts Options) (*Result, error) {
-	r, err := Largest(op, opts)
-	if err != nil {
-		return nil, err
+// canonicalSign flips v, if needed, so that its largest-magnitude entry (the
+// first one on a tie) is positive. An eigenvector's sign is arbitrary — the
+// projected solver picks it afresh every cycle — but the spectral layout
+// orders clusters and rows by signed embedding coordinates, so the sign is
+// fixed by this rule rather than left to the solver.
+func canonicalSign(v []float64) {
+	big := 0
+	for r, x := range v {
+		if math.Abs(x) > math.Abs(v[big]) {
+			big = r
+		}
 	}
-	for i, v := range r.Values {
-		r.Values[i] = 1 - v
+	if v[big] < 0 {
+		scale(v, -1)
 	}
-	return r, nil
 }
 
-func randomUnit(rng *rand.Rand, n int) []float64 {
-	v := make([]float64, n)
+// randomUnit fills v with a random unit vector.
+func randomUnit(rng *rand.Rand, v []float64) {
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
 	scale(v, 1/norm(v))
-	return v
-}
-
-func orthogonalize(v []float64, basis [][]float64) {
-	for pass := 0; pass < 2; pass++ {
-		for _, b := range basis {
-			axpy(v, b, -dot(v, b))
-		}
-	}
 }
 
 func dot(a, b []float64) float64 {

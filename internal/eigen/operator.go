@@ -1,7 +1,10 @@
 // Package eigen provides the sparse symmetric eigensolver Bootes' spectral
-// clustering needs: a Lanczos iteration with full reorthogonalization over a
-// linear operator, a symmetric tridiagonal QL solver for the projected
-// problem, and a dense Jacobi solver used as a reference in tests.
+// clustering needs: thick-restart Lanczos over a linear operator, with full
+// reorthogonalization by blocked, row-chunk-parallel classical Gram–Schmidt
+// applied twice, and a Householder tridiagonalization plus symmetric
+// tridiagonal QL solve of the projected problem. A cyclic Jacobi solver
+// handles the dense fallback for tiny operators and the block subspace
+// iteration's small projected problems, and is the reference in tests.
 //
 // Spectral clustering needs the eigenvectors of the normalized Laplacian
 // L = I − D^{-1/2} S D^{-1/2} associated with the k smallest eigenvalues.
@@ -119,7 +122,9 @@ func NewNormalizedSimilarity(s *sparse.CSR) *NormalizedSimilarity {
 func (o *NormalizedSimilarity) Dim() int { return o.S.Rows }
 
 // Apply computes y = D^{-1/2} S D^{-1/2} x. The scaling and the SpMV inside
-// are row-parallel; >90% of Lanczos time is spent here.
+// are row-parallel. The SpMV is the largest single cost of a Lanczos solve:
+// about 80% of the CPU time of a k=32, 6144-row exact-tier solve on a 2-core
+// Xeon, with the reorthogonalization kernels taking most of the rest.
 func (o *NormalizedSimilarity) Apply(x, y []float64) error {
 	if err := checkDims(o.S.Rows, x, y); err != nil {
 		return err

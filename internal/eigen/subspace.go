@@ -79,7 +79,8 @@ func BlockLargestContext(ctx context.Context, op Operator, opts Options) (*Resul
 	v := make([][]float64, b) // Op·x
 	u := make([][]float64, b) // Ritz vectors (next block)
 	for j := 0; j < b; j++ {
-		x[j] = randomUnit(rng, n)
+		x[j] = make([]float64, n)
+		randomUnit(rng, x[j])
 		v[j] = make([]float64, n)
 		u[j] = make([]float64, n)
 	}
