@@ -16,8 +16,9 @@
 #                  concurrent instrument updates, the consistent-hash ring,
 #                  and the fleet router's forward/hedge/probe paths
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
-#                  CSR constructor, and the plan-cache entry decoder (the
-#                  hostile-input hardening targets)
+#                  CSR constructor, the plan-cache entry decoder, and the
+#                  decision-tree model loader (the hostile-input hardening
+#                  targets)
 #   make chaos   — the long chaos soak: CHAOS_EPISODES (default 2000) seeded
 #                  end-to-end episodes through plan→cache→serve→queue with
 #                  faults armed (including queue-crash, tenant-storm, and
@@ -32,7 +33,8 @@
 #   make bench-queue — the durable-queue benchmark behind BENCH_queue.json
 #                  (enqueue/drain throughput, journal replay at 10k jobs)
 #   make bench   — the parallel-layer benchmarks behind BENCH_parallel.json,
-#                  plus the k=32 Lanczos solve (matvecs/op, allocs/op)
+#                  plus the k=32 Lanczos solve over the explicit S and over
+#                  the factored Ā·(Āᵀ·x) operator (matvecs/op, allocs/op)
 #   make bench-matrix — the similarity/Lanczos/eigen/k-means/sweep benchmarks across
 #                  BOOTES_WORKERS ∈ {1,2,4,max} plus the end-to-end
 #                  similarity-tier run that regenerates BENCH_fastpath.json
@@ -90,6 +92,7 @@ race-serve:
 # plain tests (no mutation engine), so check catches corpus regressions fast.
 fuzz-seeds:
 	$(GO) test ./internal/sparse/ ./internal/plancache/ ./internal/refine/ -run 'Fuzz' -count=1
+	$(GO) test . -run 'FuzzDecodeModel' -count=1
 
 # Short deterministic chaos run (also part of `go test ./...`); kept as its
 # own target so check's output names it explicitly.
@@ -120,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/sparse/ -run XXX -fuzz FuzzBitsetPack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/plancache/ -run XXX -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/refine/ -run XXX -fuzz FuzzRefine -fuzztime $(FUZZTIME)
+	$(GO) test . -run XXX -fuzz FuzzDecodeModel -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test ./internal/sparse/ -run XXX -bench 'Similarity|SpMV' -benchtime 10x

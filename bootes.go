@@ -112,13 +112,14 @@ type Options struct {
 	// the similarity matrix. nil selects DefaultRefinement(). Ignored unless
 	// AutoK is set.
 	Refinement *RefinementOptions
-	// ImplicitSimilarity avoids materializing S = Ā·Āᵀ (lower peak memory,
-	// one extra matvec per Lanczos step). Legacy flag: equivalent to
+	// ImplicitSimilarity selects the matrix-free tier, which also keeps
+	// auto-k from materializing S = Ā·Āᵀ. Legacy flag: equivalent to
 	// Similarity = SimImplicit; ignored when Similarity is set explicitly.
 	ImplicitSimilarity bool
-	// Similarity selects how the similarity matrix S = Ā·Āᵀ is built: the
-	// exact merge kernel, the packed-bitset exact kernel, the LSH-sparsified
-	// approximation, or the matrix-free implicit operator. The zero value
+	// Similarity selects the similarity tier: exact S = Ā·Āᵀ (which the
+	// spectral pass applies matrix-free; auto-k materializes it with the
+	// merge or the packed-bitset kernel), the LSH-sparsified approximation,
+	// or the matrix-free implicit operator throughout. The zero value
 	// SimAuto picks a tier from the matrix size and modeled similarity bytes
 	// (see EffectiveSimilarityMode). Exact and bitset produce bit-identical
 	// plans; approximate plans are still valid bijections but may differ,
@@ -159,18 +160,20 @@ const (
 	// SimAuto (the zero value) selects a tier automatically from the matrix
 	// size and the modeled similarity bytes.
 	SimAuto = core.SimAuto
-	// SimExact materializes S with the merge-based SpGEMM kernel.
+	// SimExact uses the exact S. The spectral pass applies it matrix-free
+	// as Ā·(Āᵀ·x); auto-k materializes it with the merge-based SpGEMM
+	// kernel.
 	SimExact = core.SimExact
-	// SimBitset materializes S with packed row-support bitsets and
-	// word-AND+popcount intersection — bit-identical to SimExact, faster on
-	// matrices with clustered supports.
+	// SimBitset is SimExact with auto-k materializing S through packed
+	// row-support bitsets and word-AND+popcount intersection — bit-identical
+	// to the merge kernel, faster on matrices with clustered supports.
 	SimBitset = core.SimBitset
 	// SimApprox sparsifies S to LSH candidate pairs (MinHash banding) before
 	// materializing: stored entries keep their exact intersection counts, but
 	// dissimilar row pairs are dropped, shrinking the eigensolve.
 	SimApprox = core.SimApprox
-	// SimImplicit applies S as a matrix-free operator (lowest memory, one
-	// extra matvec per Lanczos step).
+	// SimImplicit applies S as a matrix-free operator and never
+	// materializes it, so auto-k declines this tier.
 	SimImplicit = core.SimImplicit
 )
 
@@ -530,9 +533,18 @@ func (p *ReorderPlan) ApplySymmetric(m *Matrix) (*Matrix, error) {
 // Model is a trained decision-tree gate.
 type Model struct{ tree *dtree.Tree }
 
-// LoadModel parses a model serialized by Model.Encode.
+// LoadModel parses a model serialized by Model.Encode. It rejects a tree
+// the planner could not evaluate: a split missing a child, a split feature
+// outside the feature vector, or a leaf class that names no cluster count.
 func LoadModel(data []byte) (*Model, error) {
 	t, err := dtree.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	err = t.Validate(len(core.FeatureNames), func(class int) error {
+		_, err := core.KForLabel(class)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -112,13 +112,14 @@ func selectEigengap(values []float64, kmin, kmax int, stop, minRatio float64) (b
 }
 
 // estimateAutoKFootprint is the pre-allocation memory model for the auto-k
-// rung: the spectral footprint at K = KMax+1 plus one extra similarity-sized
-// working set for the refinement pipeline (the refined copy coexists with
-// its source between ops).
+// rung: the spectral footprint at K = KMax+1 with the exact tiers' S
+// materialized (auto-k builds it; the spectral pass does not), plus one extra
+// similarity-sized working set for the refinement pipeline (the refined copy
+// coexists with its source between ops).
 func estimateAutoKFootprint(a *sparse.CSR, base SpectralOptions, ak AutoKOptions) int64 {
 	opts := base
 	opts.K = ak.withDefaults().KMax + 1
-	est := estimateSpectralFootprint(a, opts)
+	est := estimateFootprint(a, opts, true)
 	return est + est/2
 }
 

@@ -37,10 +37,19 @@ func (b Budget) memoryExceeded(estimate int64) bool {
 // estimateSpectralFootprint upper-bounds the peak modeled bytes of one
 // spectral pass over a with the given options, using only column degrees —
 // nothing is allocated. It mirrors the footprint model in
-// Spectral.ReorderContext but replaces the exact nnz(S) (known only after
-// construction) with the degree-sum bound from sparse.EstimateSimilarityNNZ,
-// so the estimate is always ≥ the realized footprint of the similarity phase.
+// Spectral.ReorderContext with each realized size replaced by an upper
+// bound (nnz(Ā) for the hub-dropped pattern, the collision cap or the
+// degree-sum bound for the sparsified S), so the estimate is always ≥ the
+// realized footprint.
 func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
+	return estimateFootprint(a, opts, false)
+}
+
+// estimateFootprint is estimateSpectralFootprint with the similarity phase
+// optionally charged for an explicit S on the exact tiers: materialized
+// models auto-k, which builds S for refinement where the spectral pass
+// applies it matrix-free.
+func estimateFootprint(a *sparse.CSR, opts SpectralOptions, materialized bool) int64 {
 	n := a.Rows
 	if n == 0 {
 		return 0
@@ -52,11 +61,8 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 	hub, colCounts := resolveHub(a, opts.HubThreshold)
 
 	var simBytes int64
-	switch resolveSimilarityMode(a, opts, hub, colCounts) {
-	case SimImplicit:
-		// Āᵀ (row pointers + indices + values) plus two matvec temporaries.
-		simBytes = int64(a.Cols+1)*8 + a.NNZ()*(4+8) + int64(n)*8*2
-	case SimApprox:
+	switch mode := resolveSimilarityMode(a, opts, hub, colCounts); {
+	case mode == SimApprox:
 		// LSH index structures plus one bit pack plus the sparsified S,
 		// bounded by the collision-capped pair count or the exact bound,
 		// whichever is smaller.
@@ -75,13 +81,15 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 			sNNZ = exact
 		}
 		simBytes = lsh.ModeledSparsifyBytes(n, p) + a.NNZ()*(4+8) + int64(n+1)*8 + sNNZ*(4+8)
-	case SimBitset:
+	case materialized && mode == SimBitset:
 		// The exact S plus the two packed bitset structures.
 		nnz := sparse.EstimateSimilarityNNZ(a, hub, colCounts)
 		simBytes = int64(n+1)*8 + nnz*(4+8) + 2*a.NNZ()*(4+8)
-	default: // SimExact
+	case materialized && mode == SimExact:
 		nnz := sparse.EstimateSimilarityNNZ(a, hub, colCounts)
 		simBytes = int64(n+1)*8 + nnz*(4+8)
+	default:
+		simBytes = implicitOperatorBytes(n, a.Cols, a.NNZ(), hub > 0)
 	}
 
 	maxBasis := opts.Eigen.MaxBasis
@@ -100,4 +108,17 @@ func estimateSpectralFootprint(a *sparse.CSR, opts SpectralOptions) int64 {
 		foot = kmPhase
 	}
 	return foot + int64(n)*4
+}
+
+// implicitOperatorBytes models what eigen.ImplicitSimilarity allocates for a
+// rows×cols matrix whose hub-dropped pattern keeps nnz entries: the pattern
+// copy when hub columns were dropped (otherwise Ā shares a's arrays), the
+// pattern Āᵀ with the length-cols scatter cursors that build it, and the
+// length-rows and length-cols matvec temporaries.
+func implicitOperatorBytes(rows, cols int, nnz int64, hubCopy bool) int64 {
+	b := int64(cols+1)*8 + nnz*4 + int64(rows)*8 + 2*int64(cols)*8
+	if hubCopy {
+		b += int64(rows+1)*8 + nnz*4
+	}
+	return b
 }

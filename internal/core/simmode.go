@@ -14,14 +14,17 @@ import (
 // similarity operator — the three-tier fast path plus the two explicit exact
 // kernels:
 //
-//   - SimExact: merge-based S = Ā·Āᵀ (sparse.SimilarityContext), the paper's
-//     Algorithm 4 as written.
-//   - SimBitset: the same S bit-identically, via packed word-AND + popcount
-//     kernels (sparse.SimilarityBitsetContext).
+//   - SimExact: the exact S = Ā·Āᵀ of the paper's Algorithm 4. The spectral
+//     pass applies it matrix-free as Ā·(Āᵀ·x) (eigen.ImplicitSimilarity), so
+//     S is never formed; auto-k materializes it with the merge-based kernel
+//     (sparse.SimilarityContext) because its refinement needs the entries.
+//   - SimBitset: the same exact S. The spectral pass applies it matrix-free
+//     like SimExact; auto-k materializes it bit-identically via packed
+//     word-AND + popcount kernels (sparse.SimilarityBitsetContext).
 //   - SimApprox: LSH-sparsified S on MinHash/banding candidate pairs with
 //     exact counts (lsh.SparsifiedSimilarity).
 //   - SimImplicit: the matrix-free operator (eigen.ImplicitSimilarity); S is
-//     never formed.
+//     never formed, not even for auto-k, which declines this tier.
 //
 // SimAuto (the zero value) lets the selector pick a tier from the matrix
 // size and the pre-allocation similarity-size bound.
@@ -74,9 +77,10 @@ func ParseSimilarityMode(s string) (SimilarityMode, error) {
 }
 
 // SimilarityClass partitions the tiers by the plan they produce: the two
-// exact kernels yield bit-identical plans (one cache/plan-key class), while
-// the approximate and implicit tiers each change the operator the
-// eigensolver sees and therefore the resulting permutation.
+// exact kernels yield bit-identical plans (one cache/plan-key class), and
+// the approximate tier changes the operator the eigensolver sees and
+// therefore the resulting permutation. The implicit tier keeps its own
+// class: its fixed-k plans equal the exact tiers', but it never runs auto-k.
 type SimilarityClass byte
 
 // The plan-equivalence classes of the similarity tiers.
@@ -101,9 +105,10 @@ func (m SimilarityMode) Class() SimilarityClass {
 }
 
 // Selector thresholds for SimAuto, variables so tests can pin tiers on small
-// inputs. Row counts pick the tier; the byte cap guards the exact tiers
-// against similarity matrices whose degree-sum bound exceeds what the
-// planner should ever materialize, overriding to the implicit operator.
+// inputs. Row counts pick the tier; the byte cap guards the exact tiers —
+// whose S auto-k materializes — against similarity matrices whose
+// degree-sum bound exceeds what the planner should ever materialize,
+// overriding to the implicit operator.
 var (
 	// simBitsetMinRows is where the bitset kernels overtake the merge kernel:
 	// below it the packing overhead dominates.
@@ -184,40 +189,30 @@ func lshParams(opts SpectralOptions) lsh.Params {
 // the resolved tier, returning the operator, its modeled similarity-phase
 // bytes, and the tier that ran (recorded in bootes_similarity_mode_total).
 // Shared by the single-k spectral pass and the sweep so the two cannot drift.
+//
+// Every tier but SimApprox applies the exact S = Ā·Āᵀ matrix-free: two
+// pattern SpMVs over Ā cost 2·nnz(Ā) per matvec against nnz(S) for an
+// explicit S, and skip the Σ d_j² product that builds S. The degrees are the
+// same integers either way, so the operator differs from an explicit S only
+// in the summation order inside each matvec.
 func buildSimilarityOperator(ctx context.Context, a *sparse.CSR, opts SpectralOptions) (eigen.Operator, int64, SimilarityMode, error) {
-	n := a.Rows
 	hub, colCounts := resolveHub(a, opts.HubThreshold)
 	mode := resolveSimilarityMode(a, opts, hub, colCounts)
 	var (
 		op       eigen.Operator
 		simBytes int64
 	)
-	switch mode {
-	case SimImplicit:
-		impl := eigen.NewImplicitSimilarityCappedWithCounts(a, hub, colCounts)
-		op = impl
-		simBytes = impl.At.ModeledBytes() + int64(n)*8*2 // Āᵀ + two matvec temps
-	case SimApprox:
+	if mode == SimApprox {
 		sim, err := lsh.SparsifiedSimilarity(ctx, a, hub, colCounts, lshParams(opts))
 		if err != nil {
 			return nil, 0, mode, err
 		}
-		simBytes = sim.ModeledBytes() + lsh.ModeledSparsifyBytes(n, lshParams(opts))
+		simBytes = sim.ModeledBytes() + lsh.ModeledSparsifyBytes(a.Rows, lshParams(opts))
 		op = eigen.NewNormalizedSimilarity(sim)
-	case SimBitset:
-		sim, err := sparse.SimilarityBitsetContext(ctx, a, hub, colCounts)
-		if err != nil {
-			return nil, 0, mode, err
-		}
-		simBytes = sim.ModeledBytes() + 2*a.NNZ()*(4+8) // plus the two bit packs
-		op = eigen.NewNormalizedSimilarity(sim)
-	default: // SimExact
-		sim, err := sparse.SimilarityContext(ctx, a, hub, colCounts)
-		if err != nil {
-			return nil, 0, mode, err
-		}
-		simBytes = sim.ModeledBytes()
-		op = eigen.NewNormalizedSimilarity(sim)
+	} else {
+		impl := eigen.NewImplicitSimilarityCappedWithCounts(a, hub, colCounts)
+		op = impl
+		simBytes = implicitOperatorBytes(a.Rows, a.Cols, impl.A.NNZ(), hub > 0)
 	}
 	obs.SimilarityModeUsed(ctx, mode.String())
 	return op, simBytes, mode, nil

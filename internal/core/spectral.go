@@ -27,9 +27,9 @@ type SpectralOptions struct {
 	// K is the number of eigenvectors and k-means clusters. It must be ≥ 2;
 	// the pipeline restricts it to CandidateKs.
 	K int
-	// ImplicitSimilarity applies S = Ā·Āᵀ as an operator instead of forming
-	// it explicitly — the memory ablation discussed in DESIGN.md. The paper's
-	// Algorithm 4 forms S explicitly. Legacy flag: equivalent to Similarity =
+	// ImplicitSimilarity selects the matrix-free tier. The spectral pass
+	// applies S = Ā·Āᵀ matrix-free on every exact tier; this tier also keeps
+	// auto-k from materializing S. Legacy flag: equivalent to Similarity =
 	// SimImplicit; ignored when Similarity is set explicitly.
 	ImplicitSimilarity bool
 	// Similarity selects the similarity construction tier (see
@@ -94,11 +94,11 @@ func (s Spectral) ReorderContext(ctx context.Context, a *sparse.CSR) (*SpectralR
 		k = n
 	}
 
-	// Step 1-2: similarity matrix and normalized-Laplacian operator.
-	// Working with M = D^{-1/2}·S·D^{-1/2} (largest eigenpairs) is
-	// equivalent to the smallest eigenpairs of L = I − M. The tier dispatch
-	// (exact merge / bitset / LSH-approximate / implicit) is shared with the
-	// sweep via buildSimilarityOperator. Stage spans close via defer too so a
+	// Step 1-2: similarity and normalized-Laplacian operator. Working with
+	// M = D^{-1/2}·S·D^{-1/2} (largest eigenpairs) is equivalent to the
+	// smallest eigenpairs of L = I − M. The tier dispatch (the exact S
+	// applied matrix-free, or the LSH-sparsified S) is shared with the sweep
+	// via buildSimilarityOperator. Stage spans close via defer too so a
 	// contained panic cannot leak an open span past the ladder's recovery.
 	degreeWork := int64(n) * 8 * 2 // degrees + inv-sqrt arrays
 	endSimilarity := obs.StartStage(ctx, obs.StageSimilarity)
@@ -171,9 +171,11 @@ func (s Spectral) ReorderContext(ctx context.Context, a *sparse.CSR) (*SpectralR
 	perm := cluster.PermutationFromAssignment(km.Assign, k, embedding, k, opts.Order)
 	endPermute()
 
-	// Peak footprint model: the similarity matrix coexists with the degree
-	// arrays and the Lanczos basis; per the paper S is freed before k-means,
-	// so the peak is max(eigend phase, k-means phase).
+	// Peak footprint model: the similarity operator's storage (Ā and Āᵀ
+	// with two matvec temporaries on the exact tiers, the sparsified S on
+	// the approximate one) coexists with the degree arrays and the Lanczos
+	// basis, and is freed before k-means, so the peak is max(eigensolve
+	// phase, k-means phase).
 	basisBytes := int64(eo.MaxBasis+1) * int64(n) * 8 // Lanczos basis vectors
 	embedBytes := int64(len(embedding)) * 8
 	eigPhase := simBytes + degreeWork + basisBytes

@@ -76,6 +76,8 @@ var (
 	ErrDimension  = errors.New("dtree: inconsistent feature dimensions")
 	ErrBadLabel   = errors.New("dtree: label out of range")
 	ErrNotTrained = errors.New("dtree: tree has no root")
+	// ErrMalformed reports a decoded tree that cannot be evaluated safely.
+	ErrMalformed = errors.New("dtree: malformed tree")
 )
 
 // Train fits a CART tree to samples with numClass classes.
@@ -349,16 +351,62 @@ func sum(xs []float64) float64 {
 // Encode serializes the tree to JSON.
 func (t *Tree) Encode() ([]byte, error) { return json.Marshal(t) }
 
-// Decode parses a tree serialized by Encode.
+// Decode parses a tree serialized by Encode and rejects one that Validate
+// refuses, bounding split features by the recorded feature names when the
+// tree carries them.
 func Decode(data []byte) (*Tree, error) {
 	var t Tree
 	if err := json.Unmarshal(data, &t); err != nil {
 		return nil, err
 	}
-	if t.Root == nil {
-		return nil, ErrNotTrained
+	if err := t.Validate(len(t.Features), nil); err != nil {
+		return nil, err
 	}
 	return &t, nil
+}
+
+// Validate checks that t is safe to evaluate on feature vectors of length
+// numFeatures: every internal node has both children and splits on a
+// feature in [0, numFeatures); every leaf is marked Feature == -1 and
+// predicts a class in [0, NumClass) that classOK, when non-nil, accepts; and
+// every class histogram is empty or has NumClass entries. numFeatures ≤ 0
+// skips the feature bound. A missing root is ErrNotTrained; every other
+// failure wraps ErrMalformed.
+func (t *Tree) Validate(numFeatures int, classOK func(class int) error) error {
+	if t.Root == nil {
+		return ErrNotTrained
+	}
+	if t.NumClass < 1 {
+		return fmt.Errorf("%w: numClass %d", ErrMalformed, t.NumClass)
+	}
+	stack := []*Node{t.Root}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if len(n.Counts) != 0 && len(n.Counts) != t.NumClass {
+			return fmt.Errorf("%w: class histogram of %d entries, want %d", ErrMalformed, len(n.Counts), t.NumClass)
+		}
+		switch {
+		case n.Feature == -1:
+			if n.Class < 0 || n.Class >= t.NumClass {
+				return fmt.Errorf("%w: leaf class %d outside [0, %d)", ErrMalformed, n.Class, t.NumClass)
+			}
+			if classOK != nil {
+				if err := classOK(n.Class); err != nil {
+					return fmt.Errorf("%w: leaf class %d: %v", ErrMalformed, n.Class, err)
+				}
+			}
+		case n.Feature < 0:
+			return fmt.Errorf("%w: negative split feature %d", ErrMalformed, n.Feature)
+		case numFeatures > 0 && n.Feature >= numFeatures:
+			return fmt.Errorf("%w: split feature %d outside [0, %d)", ErrMalformed, n.Feature, numFeatures)
+		case n.Left == nil || n.Right == nil:
+			return fmt.Errorf("%w: split on feature %d is missing a child", ErrMalformed, n.Feature)
+		default:
+			stack = append(stack, n.Left, n.Right)
+		}
+	}
+	return nil
 }
 
 // ModeledBytes estimates the serialized model size — the paper highlights

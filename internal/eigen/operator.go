@@ -122,9 +122,10 @@ func NewNormalizedSimilarity(s *sparse.CSR) *NormalizedSimilarity {
 func (o *NormalizedSimilarity) Dim() int { return o.S.Rows }
 
 // Apply computes y = D^{-1/2} S D^{-1/2} x. The scaling and the SpMV inside
-// are row-parallel. The SpMV is the largest single cost of a Lanczos solve:
-// about 80% of the CPU time of a k=32, 6144-row exact-tier solve on a 2-core
-// Xeon, with the reorthogonalization kernels taking most of the rest.
+// are row-parallel. One apply costs nnz(S), which on clustered inputs is
+// several times the 2·nnz(Ā) of ImplicitSimilarity's apply; the planner
+// therefore uses this operator only where S is already explicit (the
+// LSH-sparsified tier and auto-k's refined similarity).
 func (o *NormalizedSimilarity) Apply(x, y []float64) error {
 	if err := checkDims(o.S.Rows, x, y); err != nil {
 		return err
@@ -141,10 +142,14 @@ func (o *NormalizedSimilarity) Apply(x, y []float64) error {
 }
 
 // ImplicitSimilarity applies M = D^{-1/2}·(Ā·Āᵀ)·D^{-1/2} without forming
-// S = Ā·Āᵀ explicitly, using two pattern SpMVs (y = Ā(Āᵀ·x)). This is the
-// memory-footprint ablation Bootes' design motivates: S can be far denser
-// than A, so skipping it trades one extra matvec per Lanczos step for a
-// large reduction in peak memory.
+// S = Ā·Āᵀ explicitly, using two pattern SpMVs (y = Ā(Āᵀ·x)). It is the same
+// operator as NewNormalizedSimilarity over the explicit S: the degrees are
+// the same integers, so InvSqrt is bit-identical, and only the summation
+// order inside Apply differs. A Lanczos solve therefore takes the same
+// number of matvecs on either, while one apply here costs 2·nnz(Ā) against
+// nnz(S) — and S is often several times denser than Ā — and building it
+// skips the Σ d_j² product that forms S. The spectral pass uses it for
+// every exact similarity tier.
 type ImplicitSimilarity struct {
 	A, At   *sparse.CSR
 	InvSqrt []float64
@@ -153,7 +158,9 @@ type ImplicitSimilarity struct {
 }
 
 // NewImplicitSimilarity builds the implicit operator from the pattern of A.
-// Degrees are computed without forming S: deg(i) = Σ_{c∈row i} colCount(c).
+// Degrees are computed without forming S: deg(i) = Σ_{c∈row i} colCount(c),
+// row-parallel over disjoint chunks, so the operator is bit-identical for any
+// worker count.
 func NewImplicitSimilarity(a *sparse.CSR) *ImplicitSimilarity {
 	return NewImplicitSimilarityCapped(a, 0)
 }
@@ -178,20 +185,20 @@ func NewImplicitSimilarityCappedWithCounts(a *sparse.CSR, maxColDegree int, colC
 		ap = sparse.DropHubColumnsWithCounts(ap, maxColDegree, colCounts)
 	}
 	at := sparse.Transpose(ap)
-	colCount := make([]float64, a.Cols)
-	for _, c := range ap.Col {
-		colCount[c]++
-	}
+	// Row i of Āᵀ holds the rows sharing column i, so its length is the
+	// column count. The degree sums are exact small integers.
 	inv := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		deg := 0.0
-		for _, c := range ap.Row(i) {
-			deg += colCount[c]
+	parallel.For(a.Rows, scaleGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			deg := 0.0
+			for _, c := range ap.Row(i) {
+				deg += float64(at.RowNNZ(int(c)))
+			}
+			if deg > 0 {
+				inv[i] = 1 / sqrt(deg)
+			}
 		}
-		if deg > 0 {
-			inv[i] = 1 / sqrt(deg)
-		}
-	}
+	})
 	return &ImplicitSimilarity{
 		A: ap, At: at, InvSqrt: inv,
 		tmpN: make([]float64, a.Rows),
