@@ -2,7 +2,7 @@
 #
 #   make check   — vet + build + full test suite + fuzz seed corpus + the
 #                  short deterministic chaos run + the observability coverage
-#                  gate (tier-1 gate)
+#                  gate + vet of the perfbench module (tier-1 gate)
 #   make cover   — per-package statement coverage report; enforces a floor on
 #                  internal/obs (metrics must stay tested), report-only
 #                  everywhere else
@@ -16,9 +16,9 @@
 #                  concurrent instrument updates, the consistent-hash ring,
 #                  and the fleet router's forward/hedge/probe paths
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
-#                  CSR constructor, the plan-cache entry decoder, and the
-#                  decision-tree model loader (the hostile-input hardening
-#                  targets)
+#                  CSR constructor, the plan-cache entry decoder, the
+#                  decision-tree model loader, and the async queue's journal
+#                  recovery (the hostile-input hardening targets)
 #   make chaos   — the long chaos soak: CHAOS_EPISODES (default 2000) seeded
 #                  end-to-end episodes through plan→cache→serve→queue with
 #                  faults armed (including queue-crash, tenant-storm, and
@@ -52,12 +52,18 @@ SOAK_QPS ?= 100
 
 OBS_COVER_FLOOR ?= 60.0
 
-.PHONY: check vet build test cover race race-serve fuzz fuzz-seeds chaos chaos-short soak bench bench-matrix bench-queue report
+.PHONY: check vet perfbench-vet build test cover race race-serve fuzz fuzz-seeds chaos chaos-short soak bench bench-matrix bench-queue report
 
-check: vet build test fuzz-seeds chaos-short cover
+check: vet build test fuzz-seeds chaos-short cover perfbench-vet
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module over this one (replace bootes => ../), so the
+# root vet does not see it; vetting it here compiles the benchmark and its
+# tests against the current tree and catches a removed or renamed symbol.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -91,7 +97,7 @@ race-serve:
 # Seed-corpus-only pass: every fuzz target replays its checked-in corpus as
 # plain tests (no mutation engine), so check catches corpus regressions fast.
 fuzz-seeds:
-	$(GO) test ./internal/sparse/ ./internal/plancache/ ./internal/refine/ -run 'Fuzz' -count=1
+	$(GO) test ./internal/sparse/ ./internal/plancache/ ./internal/refine/ ./internal/planqueue/ -run 'Fuzz' -count=1
 	$(GO) test . -run 'FuzzDecodeModel' -count=1
 
 # Short deterministic chaos run (also part of `go test ./...`); kept as its
@@ -123,6 +129,7 @@ fuzz:
 	$(GO) test ./internal/sparse/ -run XXX -fuzz FuzzBitsetPack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/plancache/ -run XXX -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/refine/ -run XXX -fuzz FuzzRefine -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/planqueue/ -run XXX -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME)
 	$(GO) test . -run XXX -fuzz FuzzDecodeModel -fuzztime $(FUZZTIME)
 
 bench:

@@ -11,6 +11,7 @@ package bootes
 // index; cmd/benchsuite renders the full report at larger scales).
 
 import (
+	"context"
 	"testing"
 
 	"bootes/internal/accel"
@@ -87,7 +88,7 @@ func BenchmarkFigure3ClusterSize(b *testing.B) {
 	a := spec.Generate(0.05)
 	best := 1.0
 	for i := 0; i < b.N; i++ {
-		entries, err := core.SpectralSweep(a, core.CandidateKs, core.SpectralOptions{Seed: 1})
+		entries, err := core.SpectralSweepContext(context.Background(), a, core.CandidateKs, core.SpectralOptions{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,10 +191,25 @@ func ablationMatrix() *sparse.CSR {
 	})
 }
 
+// ablationSimilarity materializes the hub-capped S = Ā·Āᵀ (maxColDegree ≤ 0
+// keeps every column).
+func ablationSimilarity(b *testing.B, a *sparse.CSR, maxColDegree int) *sparse.CSR {
+	s, err := sparse.SimilarityContext(context.Background(), a, maxColDegree, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// ablationHub is the default hub threshold of a.
+func ablationHub(a *sparse.CSR) int {
+	return sparse.HubDegreeThresholdFromCounts(sparse.ColCounts(a))
+}
+
 // ablationEigensolve runs the k=16 solve core.Spectral would run over op and
 // returns its operator applications.
 func ablationEigensolve(b *testing.B, op eigen.Operator) int {
-	res, err := eigen.Largest(op, eigen.Options{K: 16, Seed: 1, Tol: 1e-5, MaxRestarts: 12, MaxBasis: 48})
+	res, err := eigen.LargestContext(context.Background(), op, eigen.Options{K: 16, Seed: 1, Tol: 1e-5, MaxRestarts: 12, MaxBasis: 48})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,11 +220,11 @@ func ablationEigensolve(b *testing.B, op eigen.Operator) int {
 // materialize S = Ā·Āᵀ, then run the eigensolve over it.
 func BenchmarkAblationExplicitSimilarity(b *testing.B) {
 	a := ablationMatrix()
-	hub := sparse.HubDegreeThreshold(a)
+	hub := ablationHub(a)
 	var opBytes int64
 	matvecs := 0
 	for i := 0; i < b.N; i++ {
-		s := sparse.SimilarityCapped(a, hub)
+		s := ablationSimilarity(b, a, hub)
 		matvecs = ablationEigensolve(b, eigen.NewNormalizedSimilarity(s))
 		opBytes = s.ModeledBytes() + int64(a.Rows)*8
 	}
@@ -221,11 +237,11 @@ func BenchmarkAblationExplicitSimilarity(b *testing.B) {
 // nnz(S), with no S to build or hold.
 func BenchmarkAblationImplicitSimilarity(b *testing.B) {
 	a := ablationMatrix()
-	hub := sparse.HubDegreeThreshold(a)
+	hub := ablationHub(a)
 	var opBytes int64
 	matvecs := 0
 	for i := 0; i < b.N; i++ {
-		op := eigen.NewImplicitSimilarityCapped(a, hub)
+		op := eigen.NewImplicitSimilarity(a, hub, nil)
 		matvecs = ablationEigensolve(b, op)
 		opBytes = op.A.ModeledBytes() + op.At.ModeledBytes() + int64(a.Rows+a.Cols)*8
 	}
@@ -240,7 +256,7 @@ func BenchmarkAblationHubExclusion(b *testing.B) {
 	b.Run("capped", func(b *testing.B) {
 		var nnz int64
 		for i := 0; i < b.N; i++ {
-			s := sparse.SimilarityCapped(a, sparse.HubDegreeThreshold(a))
+			s := ablationSimilarity(b, a, ablationHub(a))
 			nnz = s.NNZ()
 		}
 		b.ReportMetric(float64(nnz), "sim-nnz")
@@ -248,7 +264,7 @@ func BenchmarkAblationHubExclusion(b *testing.B) {
 	b.Run("uncapped", func(b *testing.B) {
 		var nnz int64
 		for i := 0; i < b.N; i++ {
-			s := sparse.Similarity(a)
+			s := ablationSimilarity(b, a, 0)
 			nnz = s.NNZ()
 		}
 		b.ReportMetric(float64(nnz), "sim-nnz")
@@ -271,7 +287,7 @@ func BenchmarkAblationClusterOrder(b *testing.B) {
 				if tc.order == 1 {
 					opts.Order = 1 // cluster.OrderClusterID
 				}
-				res, err := core.Spectral{Opts: opts}.Reorder(a)
+				res, err := core.Spectral{Opts: opts}.ReorderContext(context.Background(), a)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -322,14 +338,13 @@ func BenchmarkAblationGammaWindow(b *testing.B) {
 // converge in fewer restarts but cost more per step and more memory.
 func BenchmarkAblationLanczosBasis(b *testing.B) {
 	a := ablationMatrix()
-	s := sparse.SimilarityCapped(a, sparse.HubDegreeThreshold(a))
-	op := eigen.NewNormalizedSimilarity(s)
+	op := eigen.NewNormalizedSimilarity(ablationSimilarity(b, a, ablationHub(a)))
 	for _, basis := range []int{40, 80, 160} {
 		basis := basis
 		b.Run(benchName("m", basis), func(b *testing.B) {
 			matvecs := 0
 			for i := 0; i < b.N; i++ {
-				res, err := eigen.Largest(op, eigen.Options{K: 16, Seed: 1, Tol: 1e-5, MaxBasis: basis})
+				res, err := eigen.LargestContext(context.Background(), op, eigen.Options{K: 16, Seed: 1, Tol: 1e-5, MaxBasis: basis})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -354,10 +369,10 @@ func BenchmarkKernelSpGEMM(b *testing.B) {
 
 func BenchmarkKernelSimilarity(b *testing.B) {
 	a := ablationMatrix()
-	thr := sparse.HubDegreeThreshold(a)
+	thr := ablationHub(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sparse.SimilarityCapped(a, thr)
+		ablationSimilarity(b, a, thr)
 	}
 }
 
@@ -455,7 +470,7 @@ func BenchmarkAblationRecursive(b *testing.B) {
 	b.Run("flat-k8", func(b *testing.B) {
 		ratio := 0.0
 		for i := 0; i < b.N; i++ {
-			res, err := core.Spectral{Opts: core.SpectralOptions{K: 8, Seed: 1}}.Reorder(a)
+			res, err := core.Spectral{Opts: core.SpectralOptions{K: 8, Seed: 1}}.ReorderContext(context.Background(), a)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -488,8 +503,7 @@ func BenchmarkAblationRecursive(b *testing.B) {
 // against the classic three-term recurrence in the Lanczos eigensolver.
 func BenchmarkAblationReorthogonalization(b *testing.B) {
 	a := ablationMatrix()
-	s := sparse.SimilarityCapped(a, sparse.HubDegreeThreshold(a))
-	op := eigen.NewNormalizedSimilarity(s)
+	op := eigen.NewNormalizedSimilarity(ablationSimilarity(b, a, ablationHub(a)))
 	for _, tc := range []struct {
 		name  string
 		local bool
@@ -498,7 +512,7 @@ func BenchmarkAblationReorthogonalization(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			matvecs := 0
 			for i := 0; i < b.N; i++ {
-				res, err := eigen.Largest(op, eigen.Options{
+				res, err := eigen.LargestContext(context.Background(), op, eigen.Options{
 					K: 16, Seed: 1, Tol: 1e-5, MaxBasis: 64, LocalReorth: tc.local,
 				})
 				if err != nil {
@@ -536,9 +550,10 @@ func BenchmarkAblationTwoLevelCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKSelection compares three ways of choosing the cluster
-// count on a matrix with 24 hidden groups: the heuristic gate, the eigengap
-// spectrum heuristic, and the best of a full sweep (oracle).
+// BenchmarkAblationKSelection compares two ways of choosing the cluster
+// count on a matrix with 24 hidden groups: the planner's eigengap auto-k
+// (the production path, refinement included) and the best of a full sweep
+// over the candidate ks (oracle).
 func BenchmarkAblationKSelection(b *testing.B) {
 	a := ablationMatrix()
 	const cache = 64 << 10
@@ -546,32 +561,32 @@ func BenchmarkAblationKSelection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ratioFor := func(k int) float64 {
-		res, err := core.Spectral{Opts: core.SpectralOptions{K: k, Seed: 1}}.Reorder(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		est, err := trafficmodel.EstimateBWithPerm(a, a, res.Perm, cache, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return float64(est.BTraffic) / float64(base.BTraffic)
-	}
-	b.Run("eigengap", func(b *testing.B) {
-		ratio := 0.0
+	b.Run("auto-k", func(b *testing.B) {
+		ratio, k := 0.0, 0.0
 		for i := 0; i < b.N; i++ {
-			k, _, err := core.SelectKByEigengap(a, core.SpectralOptions{Seed: 1})
+			p := core.Pipeline{
+				ForceReorder: true,
+				AutoK:        core.AutoKOptions{Enabled: true},
+				Spectral:     core.SpectralOptions{Seed: 1},
+			}
+			res, err := p.ReorderContext(context.Background(), a)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ratio = ratioFor(k)
+			est, err := trafficmodel.EstimateBWithPerm(a, a, res.Perm, cache, 12)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ratio = float64(est.BTraffic) / float64(base.BTraffic)
+			k = res.Extra["k"]
 		}
 		b.ReportMetric(ratio, "traffic-ratio")
+		b.ReportMetric(k, "k")
 	})
 	b.Run("oracle-sweep", func(b *testing.B) {
 		ratio := 0.0
 		for i := 0; i < b.N; i++ {
-			entries, err := core.SpectralSweep(a, core.CandidateKs, core.SpectralOptions{Seed: 1})
+			entries, err := core.SpectralSweepContext(context.Background(), a, core.CandidateKs, core.SpectralOptions{Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -112,10 +112,6 @@ type Options struct {
 	// the similarity matrix. nil selects DefaultRefinement(). Ignored unless
 	// AutoK is set.
 	Refinement *RefinementOptions
-	// ImplicitSimilarity selects the matrix-free tier, which also keeps
-	// auto-k from materializing S = Ā·Āᵀ. Legacy flag: equivalent to
-	// Similarity = SimImplicit; ignored when Similarity is set explicitly.
-	ImplicitSimilarity bool
 	// Similarity selects the similarity tier: exact S = Ā·Āᵀ (which the
 	// spectral pass applies matrix-free; auto-k materializes it with the
 	// merge or the packed-bitset kernel), the LSH-sparsified approximation,
@@ -272,9 +268,8 @@ type ReorderPlan struct {
 // executed pipeline can never disagree about an option.
 func (o *Options) spectralOptions() core.SpectralOptions {
 	return core.SpectralOptions{
-		Seed:               o.Seed,
-		ImplicitSimilarity: o.ImplicitSimilarity,
-		Similarity:         o.Similarity,
+		Seed:       o.Seed,
+		Similarity: o.Similarity,
 	}
 }
 

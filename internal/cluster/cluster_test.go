@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n, k, dim := 300, 4, 3
 	pts, truth := blobs(rng, n, k, dim, 10)
-	res, err := KMeans(pts, n, dim, KMeansOptions{K: k, Seed: 7})
+	res, err := KMeansContext(context.Background(), pts, n, dim, KMeansOptions{K: k, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 	}
 	var prev float64 = 1e300
 	for _, k := range []int{1, 2, 4, 8} {
-		res, err := KMeans(pts, n, dim, KMeansOptions{K: k, Seed: 1})
+		res, err := KMeansContext(context.Background(), pts, n, dim, KMeansOptions{K: k, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,16 +83,16 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 
 func TestKMeansErrors(t *testing.T) {
 	pts := []float64{1, 2, 3, 4}
-	if _, err := KMeans(pts, 2, 2, KMeansOptions{K: 0}); err == nil {
+	if _, err := KMeansContext(context.Background(), pts, 2, 2, KMeansOptions{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := KMeans(pts, 2, 2, KMeansOptions{K: 3}); err == nil {
+	if _, err := KMeansContext(context.Background(), pts, 2, 2, KMeansOptions{K: 3}); err == nil {
 		t.Error("K>n accepted")
 	}
-	if _, err := KMeans(pts, 3, 2, KMeansOptions{K: 2}); err == nil {
+	if _, err := KMeansContext(context.Background(), pts, 3, 2, KMeansOptions{K: 2}); err == nil {
 		t.Error("bad length accepted")
 	}
-	if _, err := KMeans(nil, 0, 2, KMeansOptions{K: 1}); err == nil {
+	if _, err := KMeansContext(context.Background(), nil, 0, 2, KMeansOptions{K: 1}); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -103,11 +104,11 @@ func TestKMeansDeterministic(t *testing.T) {
 	for i := range pts {
 		pts[i] = rng.NormFloat64()
 	}
-	a, err := KMeans(pts, n, dim, KMeansOptions{K: 5, Seed: 11})
+	a, err := KMeansContext(context.Background(), pts, n, dim, KMeansOptions{K: 5, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(pts, n, dim, KMeansOptions{K: 5, Seed: 11})
+	b, err := KMeansContext(context.Background(), pts, n, dim, KMeansOptions{K: 5, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 	// Degenerate input: all points identical. Must terminate and assign.
 	n, dim := 50, 2
 	pts := make([]float64, n*dim)
-	res, err := KMeans(pts, n, dim, KMeansOptions{K: 3, Seed: 2})
+	res, err := KMeansContext(context.Background(), pts, n, dim, KMeansOptions{K: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,9 @@ func TestKMeansContextPreCancelled(t *testing.T) {
 	}
 }
 
+// TestKMeansContextMatchesKMeans: a live cancellable context, whose Done
+// channel makes every restart, iteration and parallel chunk check for
+// cancellation, gives the same clustering as a background context.
 func TestKMeansContextMatchesKMeans(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n, dim := 300, 3
@@ -30,11 +33,13 @@ func TestKMeansContextMatchesKMeans(t *testing.T) {
 		points[i] = rng.NormFloat64()
 	}
 	opts := KMeansOptions{K: 5, Seed: 7}
-	want, err := KMeans(points, n, dim, opts)
+	want, err := KMeansContext(context.Background(), points, n, dim, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := KMeansContext(context.Background(), points, n, dim, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := KMeansContext(ctx, points, n, dim, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,15 +62,10 @@ type KMeansResult struct {
 // ErrBadInput reports invalid k-means input.
 var ErrBadInput = errors.New("cluster: invalid k-means input")
 
-// KMeans clusters n points of dimension dim, given row-major points
-// (len n*dim), into opts.K clusters.
-func KMeans(points []float64, n, dim int, opts KMeansOptions) (*KMeansResult, error) {
-	return KMeansContext(context.Background(), points, n, dim, opts)
-}
-
-// KMeansContext is KMeans with cooperative cancellation: the context is
-// checked before each restart and once per Lloyd iteration, so a cancelled
-// clustering returns ctx.Err() within one iteration of the cancellation.
+// KMeansContext clusters n points of dimension dim, given row-major points
+// (len n*dim), into opts.K clusters. The context is checked before each
+// restart and once per Lloyd iteration, so a cancelled clustering returns
+// ctx.Err() within one iteration of the cancellation.
 func KMeansContext(ctx context.Context, points []float64, n, dim int, opts KMeansOptions) (*KMeansResult, error) {
 	if n <= 0 || dim <= 0 || len(points) != n*dim {
 		return nil, ErrBadInput

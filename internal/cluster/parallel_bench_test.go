@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func BenchmarkKMeans(b *testing.B) {
 			prev := parallel.SetWorkers(w)
 			defer parallel.SetWorkers(prev)
 			for i := 0; i < b.N; i++ {
-				res, err := KMeans(points, n, dim, KMeansOptions{K: k, Seed: 1, Restarts: 2, MaxIters: 20})
+				res, err := KMeansContext(context.Background(), points, n, dim, KMeansOptions{K: k, Seed: 1, Restarts: 2, MaxIters: 20})
 				if err != nil {
 					b.Fatal(err)
 				}

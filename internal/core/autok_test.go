@@ -168,7 +168,6 @@ func TestAutoKAmbiguousSpectrumFallsBack(t *testing.T) {
 func TestAutoKImplicitTierFallsBack(t *testing.T) {
 	m := plantedBlockMatrix(t, 96, 3, 3)
 	p := autoKPipeline(7)
-	p.Spectral.ImplicitSimilarity = true
 	p.Spectral.Similarity = SimImplicit
 	res, err := p.ReorderContext(context.Background(), m)
 	if err != nil {

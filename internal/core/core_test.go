@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"bootes/internal/dtree"
@@ -18,7 +19,7 @@ func blockMatrix(seed int64, groups int) *sparse.CSR {
 func TestSpectralProducesValidPermutation(t *testing.T) {
 	a := blockMatrix(1, 8)
 	for _, k := range []int{2, 4, 8} {
-		res, err := Spectral{Opts: SpectralOptions{K: k, Seed: 3}}.Reorder(a)
+		res, err := Spectral{Opts: SpectralOptions{K: k, Seed: 3}}.ReorderContext(context.Background(), a)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -53,7 +54,7 @@ func TestSpectralRecoversBlockStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Spectral{Opts: SpectralOptions{K: 16, Seed: 3}}.Reorder(a)
+	res, err := Spectral{Opts: SpectralOptions{K: 16, Seed: 3}}.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestSpectralImplicitMatchesExplicitQuality(t *testing.T) {
 	a := blockMatrix(3, 4)
 	b := a
 	const cache = 16 << 10
-	explicit, err := Spectral{Opts: SpectralOptions{K: 4, Seed: 5}}.Reorder(a)
+	explicit, err := Spectral{Opts: SpectralOptions{K: 4, Seed: 5}}.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	implicit, err := Spectral{Opts: SpectralOptions{K: 4, Seed: 5, ImplicitSimilarity: true}}.Reorder(a)
+	implicit, err := Spectral{Opts: SpectralOptions{K: 4, Seed: 5, Similarity: SimImplicit}}.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +101,12 @@ func TestSpectralImplicitMatchesExplicitQuality(t *testing.T) {
 
 func TestSpectralErrors(t *testing.T) {
 	a := blockMatrix(4, 4)
-	if _, err := (Spectral{Opts: SpectralOptions{K: 1}}).Reorder(a); err == nil {
+	if _, err := (Spectral{Opts: SpectralOptions{K: 1}}).ReorderContext(context.Background(), a); err == nil {
 		t.Error("K=1 accepted")
 	}
 	// K clamped to n for tiny matrices.
 	tiny := sparse.Identity(3, false)
-	res, err := Spectral{Opts: SpectralOptions{K: 8, Seed: 1}}.Reorder(tiny)
+	res, err := Spectral{Opts: SpectralOptions{K: 8, Seed: 1}}.ReorderContext(context.Background(), tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,18 +39,19 @@ type rung struct {
 // buildLadder lays out the degradation ladder for a requested configuration
 // whose effective similarity tier is eff:
 //
-//	requested → approx-similarity → implicit-similarity
-//	          → retry (fresh seed, loose tol)
-//	          → fixed small k (k=2, implicit, loose, small basis) → identity
+//	exact, bitset: requested → approx-similarity → retry → fixed small k
+//	approx:        requested → implicit-similarity → retry → fixed small k
+//	implicit:      requested → retry → fixed small k
 //
-// The first rung is the caller's own configuration. The approx rung — the
-// LSH-sparsified similarity, cheaper in both time and memory than any exact
-// kernel — is inserted only when the request resolves to an exact tier, so
-// budget pressure degrades exact → approx → implicit; when the request
-// already runs approximate or implicit similarity the ladder skips straight
-// past the corresponding rungs. The identity rung is not in the list — it is
-// the unconditional floor the caller falls to when every listed rung is
-// skipped or fails.
+// where retry runs the implicit operator with a fresh seed and a loose tol,
+// and fixed small k is k=2, implicit, loose, small basis. The first rung is
+// the caller's own configuration. No rung repeats the operator the request
+// already runs: the exact, bitset and implicit tiers all apply the same
+// matrix-free operator with the same footprint estimate and seed, so the
+// implicit rung is inserted only after an approximate request, and the
+// approx rung — the LSH-sparsified similarity — only after an exact-class
+// one. The identity rung is not in the list — it is the unconditional floor
+// the caller falls to when every listed rung is skipped or fails.
 func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
 	var ladder []rung
 	ladder = append(ladder, rung{name: "requested", opts: base})
@@ -62,9 +63,8 @@ func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
 	}
 
 	impl := base
-	impl.ImplicitSimilarity = true
 	impl.Similarity = SimImplicit
-	if eff != SimImplicit {
+	if eff == SimApprox {
 		ladder = append(ladder, rung{name: "implicit-similarity", opts: impl})
 	}
 

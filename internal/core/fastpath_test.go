@@ -72,21 +72,13 @@ func TestSimilaritySelectorExplicitWins(t *testing.T) {
 			t.Errorf("explicit %v resolved to %v", mode, got)
 		}
 	}
-	// The legacy flag maps to implicit when no explicit mode is set, and
-	// loses to an explicit mode.
-	if got := EffectiveSimilarityMode(selectorMatrix(32), SpectralOptions{ImplicitSimilarity: true}); got != SimImplicit {
-		t.Errorf("legacy ImplicitSimilarity resolved to %v", got)
-	}
-	if got := EffectiveSimilarityMode(m, SpectralOptions{ImplicitSimilarity: true, Similarity: SimExact}); got != SimExact {
-		t.Errorf("explicit mode should beat the legacy flag, got %v", got)
-	}
 }
 
 // modeFingerprint runs one spectral pass with the given similarity mode and
 // returns the determinism-contract artifacts.
 func modeFingerprint(t *testing.T, a *sparse.CSR, mode SimilarityMode, seed int64) spectralFingerprint {
 	t.Helper()
-	res, err := Spectral{Opts: SpectralOptions{K: 8, Seed: seed, Similarity: mode}}.Reorder(a)
+	res, err := Spectral{Opts: SpectralOptions{K: 8, Seed: seed, Similarity: mode}}.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatalf("Reorder(%v): %v", mode, err)
 	}
@@ -162,7 +154,7 @@ func TestApproxFaultDegradesToImplicit(t *testing.T) {
 }
 
 // TestLadderRungOrder: the approx rung exists only for exact-class requests,
-// and no rung repeats the tier the request already resolves to.
+// and no rung repeats the operator the request already runs.
 func TestLadderRungOrder(t *testing.T) {
 	names := func(ladder []rung) []string {
 		var out []string
@@ -172,7 +164,7 @@ func TestLadderRungOrder(t *testing.T) {
 		return out
 	}
 	exact := names(buildLadder(SpectralOptions{K: 8}, SimExact))
-	wantExact := []string{"requested", "approx-similarity", "implicit-similarity", "retry-loose", "fixed-k2"}
+	wantExact := []string{"requested", "approx-similarity", "retry-loose", "fixed-k2"}
 	if strings.Join(exact, ",") != strings.Join(wantExact, ",") {
 		t.Errorf("exact ladder = %v, want %v", exact, wantExact)
 	}

@@ -35,7 +35,7 @@ func TestPipelineReorderContextPreCancelled(t *testing.T) {
 	}
 }
 
-func TestInjectedNoConvergeDegradesToImplicit(t *testing.T) {
+func TestInjectedNoConvergeDegradesToApprox(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm(faultinject.EigenNoConverge) // fires once: first rung only
 	a := blockMatrix(1, 8)
@@ -54,7 +54,10 @@ func TestInjectedNoConvergeDegradesToImplicit(t *testing.T) {
 		t.Fatalf("degraded plan has invalid permutation: %v", err)
 	}
 	if !res.Reordered {
-		t.Error("implicit-similarity rung should still produce a real reordering")
+		t.Error("approx-similarity rung should still produce a real reordering")
+	}
+	if res.SimilarityMode != "approx" {
+		t.Errorf("degraded plan ran tier %q, want approx (the rung after an exact request)", res.SimilarityMode)
 	}
 }
 
@@ -82,7 +85,7 @@ func TestInjectedFaultsFallToIdentity(t *testing.T) {
 	}
 }
 
-func TestAllocCapBreachSkipsOneRung(t *testing.T) {
+func TestAllocCapBreachDegradesToApprox(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm(faultinject.AllocCapBreach) // fires once: skips the requested rung
 	a := blockMatrix(4, 8)
@@ -101,7 +104,10 @@ func TestAllocCapBreachSkipsOneRung(t *testing.T) {
 		t.Fatalf("degraded plan invalid: %v", err)
 	}
 	if !res.Reordered {
-		t.Error("the implicit rung should still reorder after one skipped rung")
+		t.Error("the approx-similarity rung should still reorder after one skipped rung")
+	}
+	if res.SimilarityMode != "approx" {
+		t.Errorf("degraded plan ran tier %q, want approx (the rung after an exact request)", res.SimilarityMode)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"bootes/internal/reorder"
@@ -22,7 +23,7 @@ func (f FixedK) Name() string { return fmt.Sprintf("Bootes(k=%d)", f.K) }
 func (f FixedK) Reorder(a *sparse.CSR) (*reorder.Result, error) {
 	opts := f.Opts
 	opts.K = f.K
-	sr, err := Spectral{Opts: opts}.Reorder(a)
+	sr, err := Spectral{Opts: opts}.ReorderContext(context.Background(), a)
 	if err != nil {
 		return nil, err
 	}

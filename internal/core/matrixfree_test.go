@@ -28,7 +28,7 @@ func TestExactTierDoesNotMaterializeSimilarity(t *testing.T) {
 	if mode := EffectiveSimilarityMode(a, opts); mode != SimExact {
 		t.Fatalf("fixture resolves to %v, want exact", mode)
 	}
-	sBytes := sparse.SimilarityCapped(a, sparse.HubDegreeThreshold(a)).NNZ() * 12
+	sBytes := hubSimilarity(t, a).NNZ() * 12
 	if patternBytes := 2 * a.NNZ() * 4; sBytes < 4*patternBytes {
 		t.Fatalf("fixture S (%d B) is not much larger than Ā and Āᵀ (%d B)", sBytes, patternBytes)
 	}
@@ -86,7 +86,7 @@ func TestSpectralFootprintEstimateBoundsRealized(t *testing.T) {
 	for _, mode := range []SimilarityMode{SimExact, SimBitset, SimApprox, SimImplicit} {
 		for _, hub := range []int{0, -1} {
 			opts := SpectralOptions{K: 8, Seed: 1, Similarity: mode, HubThreshold: hub}
-			sr, err := Spectral{Opts: opts}.Reorder(a)
+			sr, err := Spectral{Opts: opts}.ReorderContext(context.Background(), a)
 			if err != nil {
 				t.Fatalf("%v hub=%d: %v", mode, hub, err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,7 +29,7 @@ func BenchmarkEigensolve(b *testing.B) {
 				prev := parallel.SetWorkers(w)
 				defer parallel.SetWorkers(prev)
 				for i := 0; i < b.N; i++ {
-					res, err := Spectral{Opts: SpectralOptions{K: c.k, Seed: 1}}.Reorder(a)
+					res, err := Spectral{Opts: SpectralOptions{K: c.k, Seed: 1}}.ReorderContext(context.Background(), a)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -51,7 +52,7 @@ func BenchmarkSweep(b *testing.B) {
 			prev := parallel.SetWorkers(w)
 			defer parallel.SetWorkers(prev)
 			for i := 0; i < b.N; i++ {
-				entries, err := SpectralSweep(a, ks, SpectralOptions{Seed: 1})
+				entries, err := SpectralSweepContext(context.Background(), a, ks, SpectralOptions{Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,7 +29,7 @@ func equivWorkloads(seed int64) map[string]*sparse.CSR {
 }
 
 // spectralFingerprint captures everything the determinism contract covers
-// for one Spectral.Reorder run.
+// for one Spectral.ReorderContext run.
 type spectralFingerprint struct {
 	perm    []int32
 	assign  []int32
@@ -37,7 +38,7 @@ type spectralFingerprint struct {
 
 func fingerprint(t *testing.T, a *sparse.CSR, seed int64) spectralFingerprint {
 	t.Helper()
-	res, err := Spectral{Opts: SpectralOptions{K: 8, Seed: seed}}.Reorder(a)
+	res, err := Spectral{Opts: SpectralOptions{K: 8, Seed: seed}}.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatalf("Reorder: %v", err)
 	}
@@ -87,7 +88,7 @@ func TestSpectralParallelEquivalence(t *testing.T) {
 }
 
 // TestSweepParallelEquivalence asserts the same contract for the per-k
-// parallel SpectralSweep: entry order, permutations, and inertia must not
+// parallel SpectralSweepContext: entry order, permutations, and inertia must not
 // depend on the worker count.
 func TestSweepParallelEquivalence(t *testing.T) {
 	ks := []int{2, 4, 8}
@@ -95,14 +96,14 @@ func TestSweepParallelEquivalence(t *testing.T) {
 		for name, a := range equivWorkloads(seed) {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				restore := parallel.Sequential()
-				ref, err := SpectralSweep(a, ks, SpectralOptions{Seed: seed})
+				ref, err := SpectralSweepContext(context.Background(), a, ks, SpectralOptions{Seed: seed})
 				restore()
 				if err != nil {
 					t.Fatalf("sequential sweep: %v", err)
 				}
 				for _, w := range []int{1, 2, 8} {
 					prev := parallel.SetWorkers(w)
-					got, err := SpectralSweep(a, ks, SpectralOptions{Seed: seed})
+					got, err := SpectralSweepContext(context.Background(), a, ks, SpectralOptions{Seed: seed})
 					parallel.SetWorkers(prev)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
@@ -127,6 +128,17 @@ func TestSweepParallelEquivalence(t *testing.T) {
 	}
 }
 
+// hubSimilarity builds the hub-capped S = Ā·Āᵀ at the default threshold.
+func hubSimilarity(t *testing.T, a *sparse.CSR) *sparse.CSR {
+	t.Helper()
+	counts := sparse.ColCounts(a)
+	s, err := sparse.SimilarityContext(context.Background(), a, sparse.HubDegreeThresholdFromCounts(counts), counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestSimilarityParallelEquivalence pins the two-pass parallel similarity
 // construction to the sequential result at the matrix level: identical
 // pattern and counts for every worker count.
@@ -134,11 +146,11 @@ func TestSimilarityParallelEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for name, a := range equivWorkloads(seed) {
 			restore := parallel.Sequential()
-			ref := sparse.SimilarityCapped(a, sparse.HubDegreeThreshold(a))
+			ref := hubSimilarity(t, a)
 			restore()
 			for _, w := range []int{1, 2, 8} {
 				prev := parallel.SetWorkers(w)
-				got := sparse.SimilarityCapped(a, sparse.HubDegreeThreshold(a))
+				got := hubSimilarity(t, a)
 				parallel.SetWorkers(prev)
 				if !sparse.Equal(ref, got) {
 					t.Fatalf("%s/seed%d workers=%d: similarity matrix differs from sequential", name, seed, w)

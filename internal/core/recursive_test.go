@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"bootes/internal/sparse"
@@ -35,7 +36,7 @@ func TestRecursiveBeatsFlatWhenGroupsExceedK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := Spectral{Opts: SpectralOptions{K: 8, Seed: 1}}.Reorder(a)
+	flat, err := Spectral{Opts: SpectralOptions{K: 8, Seed: 1}}.ReorderContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,26 +82,5 @@ func TestRecursiveDepthBound(t *testing.T) {
 	}
 	if err := res.Perm.Validate(a.Rows); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSelectKByEigengap(t *testing.T) {
-	// A matrix with 8 clean hidden groups should pick k = 8 (the gap after
-	// the 8th eigenvalue of the normalized similarity is the largest).
-	a := workloads.ScrambledBlock(workloads.Params{
-		Rows: 1536, Cols: 1536, Density: 0.012, Seed: 13, Groups: 8,
-	})
-	k, spectrum, err := SelectKByEigengap(a, SpectralOptions{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spectrum) < 9 {
-		t.Fatalf("spectrum too short: %d", len(spectrum))
-	}
-	if k < 4 || k > 16 {
-		t.Errorf("eigengap picked k=%d for 8 hidden groups (spectrum head %v)", k, spectrum[:10])
-	}
-	if _, _, err := SelectKByEigengap(sparse.Identity(2, false), SpectralOptions{}); err == nil {
-		t.Error("tiny matrix accepted")
 	}
 }

@@ -131,15 +131,10 @@ var (
 )
 
 // resolveSimilarityMode resolves opts against the selector given the already
-// computed hub threshold and column counts. The legacy ImplicitSimilarity
-// flag is honored when no explicit mode is set.
+// computed hub threshold and column counts.
 func resolveSimilarityMode(a *sparse.CSR, opts SpectralOptions, hub int, colCounts []int) SimilarityMode {
-	mode := opts.Similarity
-	if mode == SimAuto && opts.ImplicitSimilarity {
-		mode = SimImplicit
-	}
-	if mode != SimAuto {
-		return mode
+	if opts.Similarity != SimAuto {
+		return opts.Similarity
 	}
 	n := a.Rows
 	if n >= simImplicitMinRows {
@@ -159,16 +154,12 @@ func resolveSimilarityMode(a *sparse.CSR, opts SpectralOptions, hub int, colCoun
 }
 
 // EffectiveSimilarityMode resolves the tier a spectral pass over a with opts
-// will run: an explicit mode wins, the legacy ImplicitSimilarity flag maps
-// to SimImplicit, and SimAuto consults the size/density selector. The result
-// is never SimAuto. Plan caching keys on the result's Class.
+// will run: an explicit mode wins and SimAuto consults the size/density
+// selector. The result is never SimAuto. Plan caching keys on the result's
+// Class.
 func EffectiveSimilarityMode(a *sparse.CSR, opts SpectralOptions) SimilarityMode {
-	mode := opts.Similarity
-	if mode == SimAuto && opts.ImplicitSimilarity {
-		mode = SimImplicit
-	}
-	if mode != SimAuto {
-		return mode
+	if opts.Similarity != SimAuto {
+		return opts.Similarity
 	}
 	hub, colCounts := resolveHub(a, opts.HubThreshold)
 	return resolveSimilarityMode(a, opts, hub, colCounts)
@@ -210,7 +201,7 @@ func buildSimilarityOperator(ctx context.Context, a *sparse.CSR, opts SpectralOp
 		simBytes = sim.ModeledBytes() + lsh.ModeledSparsifyBytes(a.Rows, lshParams(opts))
 		op = eigen.NewNormalizedSimilarity(sim)
 	} else {
-		impl := eigen.NewImplicitSimilarityCappedWithCounts(a, hub, colCounts)
+		impl := eigen.NewImplicitSimilarity(a, hub, colCounts)
 		op = impl
 		simBytes = implicitOperatorBytes(a.Rows, a.Cols, impl.A.NNZ(), hub > 0)
 	}

@@ -27,11 +27,6 @@ type SpectralOptions struct {
 	// K is the number of eigenvectors and k-means clusters. It must be ≥ 2;
 	// the pipeline restricts it to CandidateKs.
 	K int
-	// ImplicitSimilarity selects the matrix-free tier. The spectral pass
-	// applies S = Ā·Āᵀ matrix-free on every exact tier; this tier also keeps
-	// auto-k from materializing S. Legacy flag: equivalent to Similarity =
-	// SimImplicit; ignored when Similarity is set explicitly.
-	ImplicitSimilarity bool
 	// Similarity selects the similarity construction tier (see
 	// SimilarityMode). The zero value SimAuto picks a tier from the matrix
 	// size and the modeled similarity bytes.
@@ -49,8 +44,9 @@ type SpectralOptions struct {
 	Order cluster.PermutationOrder
 	// HubThreshold caps the column degree used when building the similarity
 	// matrix: columns denser than this are excluded (see
-	// sparse.SimilarityCapped). 0 selects sparse.HubDegreeThreshold(a);
-	// negative disables hub exclusion (the ablation baseline).
+	// sparse.SimilarityContext). 0 selects
+	// sparse.HubDegreeThresholdFromCounts(sparse.ColCounts(a)); negative
+	// disables hub exclusion (the ablation baseline).
 	HubThreshold int
 }
 
@@ -66,16 +62,12 @@ type Spectral struct {
 // Name implements reorder.Reorderer.
 func (s Spectral) Name() string { return fmt.Sprintf("Spectral(k=%d)", s.Opts.K) }
 
-// Reorder runs Algorithm 4: similarity matrix → normalized Laplacian →
-// top-k eigenvectors → k-means → cluster-grouped permutation.
-func (s Spectral) Reorder(a *sparse.CSR) (*SpectralResult, error) {
-	return s.ReorderContext(context.Background(), a)
-}
-
-// ReorderContext is Reorder with cooperative cancellation, threaded through
-// every phase: similarity construction (per chunk), Lanczos (per matvec) and
-// k-means (per restart and iteration). A context that is already done
-// returns ctx.Err() before any similarity storage is allocated.
+// ReorderContext runs Algorithm 4: similarity matrix → normalized Laplacian
+// → top-k eigenvectors → k-means → cluster-grouped permutation. Cancellation
+// is threaded through every phase: similarity construction (per chunk),
+// Lanczos (per matvec) and k-means (per restart and iteration). A context
+// that is already done returns ctx.Err() before any similarity storage is
+// allocated.
 func (s Spectral) ReorderContext(ctx context.Context, a *sparse.CSR) (*SpectralResult, error) {
 	start := time.Now()
 	opts := s.Opts

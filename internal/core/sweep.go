@@ -21,19 +21,15 @@ type SweepEntry struct {
 	PreprocessTime time.Duration // embedding share + this k's k-means
 }
 
-// SpectralSweep evaluates several cluster counts with a single eigensolve:
-// the embedding is computed once for max(ks) eigenvectors and each k reuses
-// its leading k columns (eigenvectors are ordered by eigenvalue, so the
-// prefix is exactly the k-dimensional spectral embedding). This is how the
-// decision-tree labeller and the Figure 3 sweep keep 5 k-values affordable.
-func SpectralSweep(a *sparse.CSR, ks []int, opts SpectralOptions) ([]SweepEntry, error) {
-	return SpectralSweepContext(context.Background(), a, ks, opts)
-}
-
-// SpectralSweepContext is SpectralSweep with cooperative cancellation: the
-// context is consulted before the shared eigensolve, inside it per matvec,
-// and again before each k's k-means, so a sweep cancelled mid-flight stops
-// launching per-k work and returns ctx.Err() promptly.
+// SpectralSweepContext evaluates several cluster counts with a single
+// eigensolve: the embedding is computed once for max(ks) eigenvectors and
+// each k reuses its leading k columns (eigenvectors are ordered by
+// eigenvalue, so the prefix is exactly the k-dimensional spectral
+// embedding). This is how the decision-tree labeller and the Figure 3 sweep
+// keep 5 k-values affordable. The context is consulted before the shared
+// eigensolve, inside it per matvec, and again before each k's k-means, so a
+// sweep cancelled mid-flight stops launching per-k work and returns
+// ctx.Err() promptly.
 func SpectralSweepContext(ctx context.Context, a *sparse.CSR, ks []int, opts SpectralOptions) ([]SweepEntry, error) {
 	if len(ks) == 0 {
 		return nil, errors.New("core: empty k list")

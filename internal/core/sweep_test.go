@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"bootes/internal/workloads"
@@ -10,7 +11,7 @@ func TestSpectralSweepMatchesFixedK(t *testing.T) {
 	a := workloads.ScrambledBlock(workloads.Params{
 		Rows: 1024, Cols: 1024, Density: 0.01, Seed: 9, Groups: 8,
 	})
-	entries, err := SpectralSweep(a, []int{2, 4, 8}, SpectralOptions{Seed: 4})
+	entries, err := SpectralSweepContext(context.Background(), a, []int{2, 4, 8}, SpectralOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +44,14 @@ func TestSpectralSweepMatchesFixedK(t *testing.T) {
 
 func TestSpectralSweepErrors(t *testing.T) {
 	a := workloads.Random(workloads.Params{Rows: 64, Cols: 64, Density: 0.1, Seed: 1})
-	if _, err := SpectralSweep(a, nil, SpectralOptions{}); err == nil {
+	if _, err := SpectralSweepContext(context.Background(), a, nil, SpectralOptions{}); err == nil {
 		t.Error("empty k list accepted")
 	}
-	if _, err := SpectralSweep(a, []int{1}, SpectralOptions{}); err == nil {
+	if _, err := SpectralSweepContext(context.Background(), a, []int{1}, SpectralOptions{}); err == nil {
 		t.Error("k=1 accepted")
 	}
 	// k > n clamps rather than failing.
-	entries, err := SpectralSweep(a, []int{2, 128}, SpectralOptions{Seed: 1})
+	entries, err := SpectralSweepContext(context.Background(), a, []int{2, 128}, SpectralOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,18 +154,6 @@ func (f *Forest) Accuracy(samples []Sample) (float64, error) {
 // Encode serializes the forest to JSON.
 func (f *Forest) Encode() ([]byte, error) { return json.Marshal(f) }
 
-// DecodeForest parses a forest serialized by Encode.
-func DecodeForest(data []byte) (*Forest, error) {
-	var f Forest
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, err
-	}
-	if len(f.Trees) == 0 {
-		return nil, ErrNotTrained
-	}
-	return &f, nil
-}
-
 // ModeledBytes estimates the serialized ensemble size — the storage cost the
 // paper weighed against the ensemble's accuracy gain.
 func (f *Forest) ModeledBytes() int64 {

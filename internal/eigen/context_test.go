@@ -22,14 +22,19 @@ func TestLargestContextPreCancelled(t *testing.T) {
 	}
 }
 
+// TestLargestContextMatchesLargest: a live cancellable context, whose Done
+// channel makes every matvec and parallel chunk check for cancellation, gives
+// the same solve as an uncancellable background context.
 func TestLargestContextMatchesLargest(t *testing.T) {
 	a := ringGraph(200)
-	op := NewNormalizedSimilarity(sparse.Similarity(a))
-	plain, err := Largest(op, Options{K: 3, Seed: 7, DenseFallbackDim: 1})
+	op := NewNormalizedSimilarity(mustSimilarity(a, 0))
+	plain, err := LargestContext(context.Background(), op, Options{K: 3, Seed: 7, DenseFallbackDim: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := LargestContext(context.Background(), op, Options{K: 3, Seed: 7, DenseFallbackDim: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withCtx, err := LargestContext(ctx, op, Options{K: 3, Seed: 7, DenseFallbackDim: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +56,8 @@ func TestOperatorApplyDimMismatchErrors(t *testing.T) {
 	a := ringGraph(32)
 	ops := []Operator{
 		CSROp{M: a},
-		NewNormalizedSimilarity(sparse.Similarity(a)),
-		NewImplicitSimilarity(a),
+		NewNormalizedSimilarity(mustSimilarity(a, 0)),
+		NewImplicitSimilarity(a, 0, nil),
 	}
 	for _, op := range ops {
 		short := make([]float64, op.Dim()-1)
@@ -73,11 +78,11 @@ func TestInjectedNoConverge(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	faultinject.Arm(faultinject.EigenNoConverge)
 	op := CSROp{M: sparse.Identity(50, false)}
-	if _, err := Largest(op, Options{K: 2}); !errors.Is(err, ErrNoConverge) {
+	if _, err := LargestContext(context.Background(), op, Options{K: 2}); !errors.Is(err, ErrNoConverge) {
 		t.Fatalf("err = %v, want ErrNoConverge", err)
 	}
 	// Single-shot fault: the retry succeeds.
-	if _, err := Largest(op, Options{K: 2}); err != nil {
+	if _, err := LargestContext(context.Background(), op, Options{K: 2}); err != nil {
 		t.Fatalf("retry after injected fault failed: %v", err)
 	}
 }

@@ -10,6 +10,17 @@ import (
 	"bootes/internal/sparse"
 )
 
+// mustSimilarity builds S = Ā·Āᵀ with columns of degree above hub dropped
+// (hub ≤ 0 keeps every column). A background context cannot cancel, and
+// Ā·Āᵀ always has matching dimensions, so an error is a bug.
+func mustSimilarity(a *sparse.CSR, hub int) *sparse.CSR {
+	s, err := sparse.SimilarityContext(context.Background(), a, hub, nil)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestSymTridEigenKnown(t *testing.T) {
 	// The n×n tridiagonal with diagonal 2 and off-diagonal -1 has
 	// eigenvalues 2 - 2cos(kπ/(n+1)).
@@ -190,7 +201,7 @@ func TestLanczosMatchesJacobi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lz, err := Largest(op, Options{K: 5, Seed: 1, DenseFallbackDim: 1, Tol: 1e-10})
+	lz, err := LargestContext(context.Background(), op, Options{K: 5, Seed: 1, DenseFallbackDim: 1, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +234,9 @@ func TestLanczosNormalizedSimilarityTopEigenvalue(t *testing.T) {
 	// For a connected graph, M = D^{-1/2} S D^{-1/2} has top eigenvalue 1
 	// (Laplacian eigenvalue 0).
 	a := ringGraph(200)
-	s := sparse.Similarity(a)
+	s := mustSimilarity(a, 0)
 	op := NewNormalizedSimilarity(s)
-	res, err := Largest(op, Options{K: 2, Seed: 3, DenseFallbackDim: 1})
+	res, err := LargestContext(context.Background(), op, Options{K: 2, Seed: 3, DenseFallbackDim: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +266,9 @@ func TestLanczosDisconnectedComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sparse.Similarity(a)
+	s := mustSimilarity(a, 0)
 	op := NewNormalizedSimilarity(s)
-	res, err := Largest(op, Options{K: 2, Seed: 5, DenseFallbackDim: 1, Tol: 1e-9})
+	res, err := LargestContext(context.Background(), op, Options{K: 2, Seed: 5, DenseFallbackDim: 1, Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +291,8 @@ func TestImplicitMatchesExplicitSimilarity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit := NewNormalizedSimilarity(sparse.Similarity(a))
-	implicit := NewImplicitSimilarity(a)
+	explicit := NewNormalizedSimilarity(mustSimilarity(a, 0))
+	implicit := NewImplicitSimilarity(a, 0, nil)
 	if explicit.Dim() != implicit.Dim() {
 		t.Fatal("dim mismatch")
 	}
@@ -306,17 +317,17 @@ func TestImplicitMatchesExplicitSimilarity(t *testing.T) {
 
 func TestLargestErrors(t *testing.T) {
 	op := CSROp{M: sparse.Identity(10, false)}
-	if _, err := Largest(op, Options{K: 0}); err == nil {
+	if _, err := LargestContext(context.Background(), op, Options{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := Largest(op, Options{K: 11}); err == nil {
+	if _, err := LargestContext(context.Background(), op, Options{K: 11}); err == nil {
 		t.Error("K>n accepted")
 	}
 }
 
 func TestDenseFallbackIdentity(t *testing.T) {
 	op := CSROp{M: sparse.Identity(10, true)}
-	res, err := Largest(op, Options{K: 3})
+	res, err := LargestContext(context.Background(), op, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +357,11 @@ func TestLocalReorthOnSeparatedSpectrum(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := CSROp{M: m}
-	full, err := Largest(op, Options{K: 3, Seed: 1, DenseFallbackDim: 1})
+	full, err := LargestContext(context.Background(), op, Options{K: 3, Seed: 1, DenseFallbackDim: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := Largest(op, Options{K: 3, Seed: 1, DenseFallbackDim: 1, LocalReorth: true})
+	local, err := LargestContext(context.Background(), op, Options{K: 3, Seed: 1, DenseFallbackDim: 1, LocalReorth: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +389,8 @@ func TestNormalizedSpectrumBoundedProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		op := NewNormalizedSimilarity(sparse.Similarity(a))
-		res, err := Largest(op, Options{K: 3, Seed: seed})
+		op := NewNormalizedSimilarity(mustSimilarity(a, 0))
+		res, err := LargestContext(context.Background(), op, Options{K: 3, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -8,7 +8,7 @@ import (
 // JacobiEigen computes all eigenvalues and eigenvectors of a dense symmetric
 // n×n matrix a (row-major, length n*n) with the cyclic Jacobi rotation
 // method. It is O(n³) per sweep; it solves the dense fallback for tiny
-// operators and BlockLargest's small projected problems, and is the
+// operators and BlockLargestContext's small projected problems, and is the
 // reference solver in tests. a is not modified. Eigenvalues are ascending;
 // eigenvector i is the i-th column of v (row-major).
 func JacobiEigen(a []float64, n int) (eig []float64, v []float64, err error) {

@@ -74,17 +74,12 @@ type Result struct {
 	Converged bool
 }
 
-// Largest computes the K algebraically largest eigenpairs of a symmetric
-// operator using thick-restart Lanczos with full reorthogonalization. For
-// tiny problems it falls back to a dense Jacobi solve.
-func Largest(op Operator, opts Options) (*Result, error) {
-	return LargestContext(context.Background(), op, opts)
-}
-
-// LargestContext is Largest with cooperative cancellation: the context is
-// checked before every operator application (the unit of Lanczos progress)
-// and once per restart cycle, so a cancelled solve returns ctx.Err() within
-// one matvec of the cancellation.
+// LargestContext computes the K algebraically largest eigenpairs of a
+// symmetric operator using thick-restart Lanczos with full
+// reorthogonalization. For tiny problems it falls back to a dense Jacobi
+// solve. The context is checked before every operator application (the unit
+// of Lanczos progress) and once per restart cycle, so a cancelled solve
+// returns ctx.Err() within one matvec of the cancellation.
 func LargestContext(ctx context.Context, op Operator, opts Options) (*Result, error) {
 	n := op.Dim()
 	if opts.K <= 0 {

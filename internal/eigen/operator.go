@@ -158,25 +158,15 @@ type ImplicitSimilarity struct {
 }
 
 // NewImplicitSimilarity builds the implicit operator from the pattern of A.
+// Columns of degree > maxColDegree are removed from the pattern before the
+// operator is formed, the same hub exclusion sparse.SimilarityContext
+// applies; maxColDegree ≤ 0 keeps every column. colCounts are
+// sparse.ColCounts(a) when the caller already holds them, sparing the
+// hub-dropping step a redundant count walk; nil computes them on demand.
 // Degrees are computed without forming S: deg(i) = Σ_{c∈row i} colCount(c),
 // row-parallel over disjoint chunks, so the operator is bit-identical for any
 // worker count.
-func NewImplicitSimilarity(a *sparse.CSR) *ImplicitSimilarity {
-	return NewImplicitSimilarityCapped(a, 0)
-}
-
-// NewImplicitSimilarityCapped is NewImplicitSimilarity with hub-column
-// exclusion: columns of degree > maxColDegree are removed from the pattern
-// before the operator is formed, mirroring sparse.SimilarityCapped.
-// maxColDegree ≤ 0 keeps every column.
-func NewImplicitSimilarityCapped(a *sparse.CSR, maxColDegree int) *ImplicitSimilarity {
-	return NewImplicitSimilarityCappedWithCounts(a, maxColDegree, nil)
-}
-
-// NewImplicitSimilarityCappedWithCounts is NewImplicitSimilarityCapped for
-// callers that already hold ColCounts(a), sparing the hub-dropping step a
-// redundant count walk; nil colCounts are computed on demand.
-func NewImplicitSimilarityCappedWithCounts(a *sparse.CSR, maxColDegree int, colCounts []int) *ImplicitSimilarity {
+func NewImplicitSimilarity(a *sparse.CSR, maxColDegree int, colCounts []int) *ImplicitSimilarity {
 	ap := a.Pattern()
 	if maxColDegree > 0 {
 		if colCounts == nil {

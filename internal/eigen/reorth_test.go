@@ -40,14 +40,14 @@ var planMidMatrix = sync.OnceValues(func() (*sparse.CSR, int) {
 // S materialized, as auto-k and the ablation benchmarks build it.
 var planMidOp = sync.OnceValue(func() *NormalizedSimilarity {
 	a, hub := planMidMatrix()
-	return NewNormalizedSimilarity(sparse.SimilarityCapped(a, hub))
+	return NewNormalizedSimilarity(mustSimilarity(a, hub))
 })
 
 // planMidFactoredOp is the same operator applied matrix-free, as the exact
 // tiers' spectral pass builds it.
 var planMidFactoredOp = sync.OnceValue(func() *ImplicitSimilarity {
 	a, hub := planMidMatrix()
-	return NewImplicitSimilarityCapped(a, hub)
+	return NewImplicitSimilarity(a, hub, nil)
 })
 
 type namedOp struct {

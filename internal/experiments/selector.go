@@ -199,7 +199,7 @@ func (c Config) selectorRun(spec workloads.Spec) (SelectorRecord, error) {
 	}
 
 	// Fixed-k arm: sweep every candidate, keep the traffic-model winner.
-	entries, err := core.SpectralSweep(a, core.CandidateKs, c.spectral(spec.Seed))
+	entries, err := core.SpectralSweepContext(context.Background(), a, core.CandidateKs, c.spectral(spec.Seed))
 	if err != nil {
 		return rec, fmt.Errorf("SC %s: sweep: %w", spec.Name, err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -69,7 +70,7 @@ func (c Config) LabelMatrix(spec workloads.Spec, a *sparse.CSR) (LabeledMatrix, 
 	}
 
 	ks := candidateKsFor(a.Rows)
-	entries, err := core.SpectralSweep(a, ks, looseSpectral(c))
+	entries, err := core.SpectralSweepContext(context.Background(), a, ks, looseSpectral(c))
 	if err != nil {
 		return lm, err
 	}

@@ -59,8 +59,9 @@ const (
 	PlanCorrupt = "planverify/corrupt-plan"
 
 	// LSHSparsifyFail makes the approximate similarity sparsifier
-	// (lsh.SparsifiedSimilarity) fail, driving the degradation ladder from
-	// the approximate rung down to the implicit-similarity rung.
+	// (lsh.SparsifiedSimilarity) fail, driving the degradation ladder past
+	// the approximate rung: to the implicit-similarity rung on an approx
+	// request, to the retry rung on an exact one.
 	LSHSparsifyFail = "lsh/sparsify-fail"
 
 	// JournalAppendWrite simulates a crash mid-append in the planqueue

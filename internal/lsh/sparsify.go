@@ -23,7 +23,7 @@ var ErrSparsifyFault = errors.New("lsh: sparsify: injected failure")
 const pairGrain = 1024
 
 // SparsifiedSimilarity computes an approximation of
-// sparse.SimilarityCappedWithCounts(a, maxColDegree, colCounts): same hub
+// sparse.SimilarityContext(ctx, a, maxColDegree, colCounts): same hub
 // exclusion, same diagonal (S[i,i] = nnz of the hub-dropped row i), and
 // exact shared-column counts — but off-diagonal entries exist only for LSH
 // candidate pairs, so nnz(S) is bounded by the banding collisions instead of

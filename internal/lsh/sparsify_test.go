@@ -33,8 +33,11 @@ func groupedMatrix(n, nnz, groups int, seed int64) *sparse.CSR {
 
 func TestSparsifiedSimilarityIsExactSubset(t *testing.T) {
 	a := groupedMatrix(300, 10, 6, 3)
-	hub := sparse.HubDegreeThreshold(a)
-	exact := sparse.SimilarityCapped(a, hub)
+	hub := sparse.HubDegreeThresholdFromCounts(sparse.ColCounts(a))
+	exact, err := sparse.SimilarityContext(context.Background(), a, hub, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	approx, err := SparsifiedSimilarity(context.Background(), a, hub, nil, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +61,7 @@ func TestSparsifiedSimilarityIsExactSubset(t *testing.T) {
 				t.Fatalf("asymmetric at (%d,%d): %v vs %v", i, j, vals[p], got)
 			}
 		}
-		if approx.At(i, i) != float64(a.RowNNZ(i)) && sparse.HubDegreeThreshold(a) <= 0 {
+		if approx.At(i, i) != float64(a.RowNNZ(i)) && hub <= 0 {
 			t.Fatalf("diagonal mismatch at %d", i)
 		}
 	}

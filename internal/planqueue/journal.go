@@ -12,11 +12,15 @@
 // rewrites the file as one snapshot record per job it keeps.
 //
 // Recovery discipline: records are replayed in order until the first record
-// that fails its length or CRC check. Because appends are sequential and
-// fsynced, a bad record can only be the torn tail of an interrupted append;
-// the file is truncated at the last good offset and the loss is counted
-// (TornTails). A torn record was by construction never acknowledged, so
-// truncation never loses an acked job. The faultinject points
+// that fails its length, CRC or decode check. Because appends are sequential
+// and fsynced, a bad record with nothing intact after it is the torn tail of
+// an interrupted append: it was by construction never acknowledged, so the
+// file is truncated at the last good offset and the loss is counted
+// (TornTails). A bad record followed by any intact record is mid-log
+// corruption (bit rot, a foreign writer): the records after it were
+// acknowledged, so the journal is left byte-for-byte untouched and opening
+// fails with ErrJournalCorrupt instead of silently dropping them. The
+// faultinject points
 // JournalAppendWrite/JournalAppendFsync simulate crashes at the two syscall
 // boundaries of an append; compaction goes through atomicio.WriteFile and
 // inherits its CacheWriteTemp/CacheWriteFsync/CacheWriteRename crash points.
@@ -45,6 +49,10 @@ const journalVersion = 1
 // maxRecLen bounds a record payload so a corrupt length field cannot demand
 // an unbounded allocation during replay.
 const maxRecLen = 1 << 20
+
+// ErrJournalCorrupt is returned when opening a journal whose first bad record
+// is followed by an intact one. The file is left untouched for inspection.
+var ErrJournalCorrupt = errors.New("planqueue: journal corrupt before its tail")
 
 // ErrJournalCrash is returned when a faultinject point simulates a crash
 // mid-append. The file is left exactly as the crash would leave it.
@@ -110,8 +118,7 @@ func encodeRec(r *rec) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// errRecCorrupt marks an undecodable record — during a sequential replay it
-// means "torn tail here, truncate".
+// errRecCorrupt marks an undecodable record.
 var errRecCorrupt = errors.New("planqueue: corrupt record")
 
 func decodeRec(data []byte) (*rec, error) {
@@ -171,9 +178,33 @@ type journal struct {
 // restored after a failed write.
 var errJournalBroken = errors.New("planqueue: journal broken (unrepaired torn tail)")
 
+// readFrame parses the record framed at the start of data: a plausible
+// length, a matching CRC and a decodable payload. n is the frame size.
+func readFrame(data []byte) (r *rec, n int64, ok bool) {
+	if len(data) < 8 {
+		return nil, 0, false
+	}
+	size := binary.LittleEndian.Uint32(data)
+	if size == 0 || size > maxRecLen || int64(len(data)-8) < int64(size) {
+		return nil, 0, false
+	}
+	payload := data[8 : 8+size]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
+		return nil, 0, false
+	}
+	r, err := decodeRec(payload)
+	if err != nil {
+		return nil, 0, false
+	}
+	return r, 8 + int64(size), true
+}
+
 // openJournal opens (or creates) the journal at path, replays every intact
 // record into replay (in order), truncates a torn tail, and leaves the file
-// positioned for appends. torn reports whether a tail was truncated.
+// positioned for appends. torn reports whether a tail was truncated. A bad
+// record with an intact record anywhere after it is not a torn tail: nothing
+// is replayed, the file is not modified, and the error wraps
+// ErrJournalCorrupt.
 func openJournal(path string, replay func(*rec)) (j *journal, torn bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -211,28 +242,25 @@ func openJournal(path string, replay func(*rec)) (j *journal, torn bool, err err
 		f.Close()
 		return nil, false, fmt.Errorf("planqueue: %s is not a journal (bad header)", path)
 	}
+	var recs []*rec
 	good = 8
-	for off := int64(8); off < int64(len(data)); {
-		rest := data[off:]
-		if len(rest) < 8 {
-			break // torn length/crc prefix
+	for good < int64(len(data)) {
+		r, n, ok := readFrame(data[good:])
+		if !ok {
+			break
 		}
-		n := binary.LittleEndian.Uint32(rest)
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if n == 0 || n > maxRecLen || int64(len(rest)-8) < int64(n) {
-			break // torn or corrupt payload length
+		recs = append(recs, r)
+		good += n
+	}
+	for off := good + 1; off < int64(len(data)); off++ {
+		if _, _, ok := readFrame(data[off:]); ok {
+			f.Close()
+			return nil, false, fmt.Errorf("%w: %s: bad record at offset %d, intact record at offset %d",
+				ErrJournalCorrupt, path, good, off)
 		}
-		payload := rest[8 : 8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // torn payload
-		}
-		r, err := decodeRec(payload)
-		if err != nil {
-			break // structurally corrupt — treat as tail, do not replay past it
-		}
+	}
+	for _, r := range recs {
 		replay(r)
-		off += 8 + int64(n)
-		good = off
 	}
 	if good < int64(len(data)) {
 		torn = true
@@ -271,8 +299,11 @@ func (j *journal) append(r *rec) error {
 		return err
 	}
 	if faultinject.Fire(faultinject.JournalAppendWrite) {
-		// Crash mid-write: half the record reaches the file, unsynced.
+		// Crash mid-write: half the record reaches the file, unsynced. A
+		// real crash writes nothing more, so neither may this process: a
+		// whole record after the torn one would read as mid-log corruption.
 		_, _ = j.f.Write(data[:len(data)/2])
+		j.broken = true
 		return ErrJournalCrash
 	}
 	pre := j.size

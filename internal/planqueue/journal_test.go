@@ -1,6 +1,9 @@
 package planqueue
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -167,6 +170,11 @@ func TestJournalCrashMidWrite(t *testing.T) {
 	if err := j.append(sampleRec(2)); err != ErrJournalCrash {
 		t.Fatalf("append under injected crash returned %v, want ErrJournalCrash", err)
 	}
+	// A crashed process writes nothing more; a whole record after the torn
+	// one would make the next open see mid-log corruption.
+	if err := j.append(sampleRec(3)); !errors.Is(err, errJournalBroken) {
+		t.Fatalf("append after injected crash returned %v, want errJournalBroken", err)
+	}
 	j.close()
 
 	var seqs []uint64
@@ -247,4 +255,159 @@ func TestJournalRewriteCompacts(t *testing.T) {
 	if len(recs) != 2 || recs[0].seq != 100 || recs[1].seq != 101 {
 		t.Fatalf("after rewrite+append journal holds %d records (want snap 100 then 101)", len(recs))
 	}
+}
+
+// frameOffsets returns the start offset of every record in a journal image.
+func frameOffsets(t *testing.T, data []byte) []int64 {
+	t.Helper()
+	var offs []int64
+	for off := int64(8); off < int64(len(data)); {
+		_, n, ok := readFrame(data[off:])
+		if !ok {
+			t.Fatalf("journal image has a bad record at offset %d", off)
+		}
+		offs = append(offs, off)
+		off += n
+	}
+	return offs
+}
+
+// TestOpenRefusesMidLogCorruption: one flipped bit in the third of ten
+// acknowledged enqueue records must fail Open loudly and leave the journal
+// byte-for-byte as it was, because the seven records after it were acked.
+// The same flip in the last record is indistinguishable from a torn tail and
+// still truncates.
+func TestOpenRefusesMidLogCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		rec     int
+		corrupt bool
+	}{{"record-3", 2, true}, {"last-record", 9, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t, newRunRecorder(nil))
+			q, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []string
+			for i := 0; i < 10; i++ {
+				jb, _, err := q.Enqueue("acme", testMatrix(t, int64(100+i)), "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, jb.ID)
+			}
+			q.Kill()
+
+			path := filepath.Join(cfg.Dir, "journal.wal")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs := frameOffsets(t, data)
+			if len(offs) != 10 {
+				t.Fatalf("journal holds %d records, want 10", len(offs))
+			}
+			data[offs[tc.rec]+8+3] ^= 0x10 // a bit of the record's seq
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			q2, err := Open(cfg)
+			after, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if tc.corrupt {
+				if !errors.Is(err, ErrJournalCorrupt) {
+					t.Fatalf("Open = %v, want ErrJournalCorrupt", err)
+				}
+				if !bytes.Equal(after, data) {
+					t.Fatalf("refused journal changed: %d bytes before, %d after", len(data), len(after))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open with a torn last record: %v", err)
+			}
+			defer q2.Kill()
+			if q2.Stats().TornTails != 1 {
+				t.Fatalf("stats = %+v, want TornTails=1", q2.Stats())
+			}
+			if int64(len(after)) != offs[9] {
+				t.Fatalf("journal is %d bytes after recovery, want %d (cut at the last record)", len(after), offs[9])
+			}
+			for i, id := range ids[:9] {
+				if jb, ok := q2.Get(id); !ok || jb.State != StateQueued {
+					t.Fatalf("job %d after recovery = (%+v, %v), want queued", i, jb, ok)
+				}
+			}
+		})
+	}
+}
+
+// FuzzOpenJournal feeds arbitrary bytes to journal recovery. Opening must
+// never panic. A refused open leaves the file untouched. A successful open
+// leaves a prefix of the input (a fresh header for an empty input), reports
+// torn exactly when it cut something, and never cuts before an intact record.
+func FuzzOpenJournal(f *testing.F) {
+	hdr := binary.LittleEndian.AppendUint32(append([]byte(nil), journalMagic[:]...), journalVersion)
+	valid := append([]byte(nil), hdr...)
+	var offs []int
+	for seq := uint64(1); seq <= 3; seq++ {
+		data, err := encodeRec(sampleRec(seq))
+		if err != nil {
+			f.Fatal(err)
+		}
+		offs = append(offs, len(valid))
+		valid = append(valid, data...)
+	}
+	flip := func(at int) []byte {
+		out := append([]byte(nil), valid...)
+		out[at] ^= 1
+		return out
+	}
+	f.Add([]byte{})
+	f.Add(hdr)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	f.Add(flip(offs[1] + 10))
+	f.Add(flip(offs[1]))
+	f.Add(flip(offs[2] + 10))
+	f.Add([]byte("not a journal"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, torn, err := openJournal(path, func(*rec) {})
+		out, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(out, in) {
+				t.Fatalf("refused open (%v) changed the file", err)
+			}
+			return
+		}
+		j.close()
+		if len(in) == 0 {
+			if !bytes.Equal(out, hdr) {
+				t.Fatalf("fresh journal = %x, want header %x", out, hdr)
+			}
+			return
+		}
+		if !bytes.HasPrefix(in, out) {
+			t.Fatal("recovered journal is not a prefix of its input")
+		}
+		if torn != (len(out) < len(in)) {
+			t.Fatalf("torn=%v but %d of %d bytes kept", torn, len(out), len(in))
+		}
+		for off := len(out); off < len(in); off++ {
+			if _, _, ok := readFrame(in[off:]); ok {
+				t.Fatalf("cut at %d drops an intact record at %d", len(out), off)
+			}
+		}
+	})
 }

@@ -23,7 +23,10 @@ func similarityFixtures(t *testing.T) map[string]*sparse.CSR {
 	for _, arch := range archetypes {
 		for _, seed := range []int64{1, 2, 3} {
 			a := workloads.Generate(arch, workloads.Params{Rows: 120, Cols: 120, Density: 0.05, Seed: seed})
-			s := sparse.Similarity(a)
+			s, err := sparse.SimilarityContext(context.Background(), a, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := s.Validate(); err != nil {
 				t.Fatalf("%s seed %d: invalid similarity: %v", arch, seed, err)
 			}
@@ -118,8 +121,11 @@ func TestThresholdMonotoneInP(t *testing.T) {
 }
 
 func TestThresholdRejectsBadPercentile(t *testing.T) {
-	s := sparse.Similarity(workloads.Generate(workloads.ArchRandom,
-		workloads.Params{Rows: 20, Cols: 20, Density: 0.2, Seed: 1}))
+	s, err := sparse.SimilarityContext(context.Background(), workloads.Generate(workloads.ArchRandom,
+		workloads.Params{Rows: 20, Cols: 20, Density: 0.2, Seed: 1}), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []float64{-0.1, 1, 1.5, math.NaN()} {
 		if _, err := RowThreshold(s, p); err == nil {
 			t.Errorf("p=%v accepted", p)

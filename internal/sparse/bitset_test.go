@@ -77,7 +77,7 @@ func TestPackBitRowsRandomMatchesMerge(t *testing.T) {
 func TestSimilarityBitsetMatchesMerge(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		a := benchMatrix(400, 12, seed)
-		hub := HubDegreeThreshold(a)
+		hub := HubDegreeThresholdFromCounts(ColCounts(a))
 		want, err := SimilarityContext(context.Background(), a, hub, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -171,8 +171,8 @@ func absInt(x int) int {
 
 func BenchmarkSimilarityBitset(b *testing.B) {
 	a := benchMatrix(2000, 24, 7)
-	hub := HubDegreeThreshold(a)
-	ap := DropHubColumns(a.Pattern(), hub)
+	counts := ColCounts(a)
+	ap := DropHubColumnsWithCounts(a.Pattern(), HubDegreeThresholdFromCounts(counts), counts)
 	at := Transpose(ap)
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

@@ -53,8 +53,8 @@ func benchWorkerCounts() []int {
 
 func BenchmarkSimilarity(b *testing.B) {
 	a := benchMatrix(2000, 24, 7)
-	hub := HubDegreeThreshold(a)
-	ap := DropHubColumns(a.Pattern(), hub)
+	counts := ColCounts(a)
+	ap := DropHubColumnsWithCounts(a.Pattern(), HubDegreeThresholdFromCounts(counts), counts)
 	at := Transpose(ap)
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -109,8 +109,8 @@ func spgemmCountLegacy(a, b *CSR) *CSR {
 
 func BenchmarkSimilarityLegacy(b *testing.B) {
 	a := benchMatrix(2000, 24, 7)
-	hub := HubDegreeThreshold(a)
-	ap := DropHubColumns(a.Pattern(), hub)
+	counts := ColCounts(a)
+	ap := DropHubColumnsWithCounts(a.Pattern(), HubDegreeThresholdFromCounts(counts), counts)
 	at := Transpose(ap)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -85,19 +85,3 @@ func PermuteRows(m *CSR, perm Permutation) (*CSR, error) {
 func UnpermuteRows(m *CSR, perm Permutation) (*CSR, error) {
 	return PermuteRows(m, perm.Inverse())
 }
-
-// Compose returns the permutation equivalent to applying first then second:
-// result[i] = first[second[i]].
-func Compose(first, second Permutation) (Permutation, error) {
-	if len(first) != len(second) {
-		return nil, fmt.Errorf("%w: %d vs %d", ErrPermLength, len(first), len(second))
-	}
-	out := make(Permutation, len(first))
-	for i, v := range second {
-		if v < 0 || int(v) >= len(first) {
-			return nil, fmt.Errorf("%w: second[%d]=%d", ErrPermValue, i, v)
-		}
-		out[i] = first[v]
-	}
-	return out, nil
-}

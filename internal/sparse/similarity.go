@@ -8,49 +8,30 @@ import (
 	"bootes/internal/parallel"
 )
 
-// Similarity computes the row-similarity matrix S = Ā·Āᵀ where Ā is the
-// binary pattern of A. Entry S[i,j] is the number of column coordinates rows
-// i and j share; the diagonal S[i,i] equals nnz(row i). This is the matrix
-// Bootes' spectral clustering operates on (Algorithm 4, line 12).
+// SimilarityContext computes the row-similarity matrix S = Ā·Āᵀ where Ā is
+// the binary pattern of A. Entry S[i,j] is the number of column coordinates
+// rows i and j share; the diagonal S[i,i] equals nnz(row i). This is the
+// matrix Bootes' spectral clustering operates on (Algorithm 4, line 12).
 //
 // The computation walks A column by column through Aᵀ, so its cost is
 // Σ_j d_j² where d_j is the number of nonzeros in column j of A — the first
 // term of Bootes' complexity in Table 2 of the paper.
-func Similarity(a *CSR) *CSR {
-	return SimilarityCapped(a, 0)
-}
-
-// SimilarityCapped is Similarity with hub-column exclusion: columns whose
-// degree exceeds maxColDegree are skipped. Hub columns (shared variables,
-// boundary conditions, graph super-nodes) connect nearly every row pair, so
-// they both densify S — turning the Σ_j d_j² construction quadratic — and
-// add a near-uniform similarity component that carries no cluster
+//
+// Columns whose degree exceeds maxColDegree are skipped. Hub columns (shared
+// variables, boundary conditions, graph super-nodes) connect nearly every row
+// pair, so they both densify S — turning the Σ_j d_j² construction quadratic
+// — and add a near-uniform similarity component that carries no cluster
 // information. Excluding them is the key implementation optimization that
 // keeps S sparse and Bootes linear-scaling. maxColDegree ≤ 0 disables the
-// cap.
-func SimilarityCapped(a *CSR, maxColDegree int) *CSR {
-	return SimilarityCappedWithCounts(a, maxColDegree, nil)
-}
-
-// SimilarityCappedWithCounts is SimilarityCapped for callers that already
-// hold ColCounts(a) (the spectral pipeline computes them for the hub
-// threshold); nil colCounts are computed on demand. Values are counted on
-// the pattern of a, so counts of a and of a.Pattern() are interchangeable.
-func SimilarityCappedWithCounts(a *CSR, maxColDegree int, colCounts []int) *CSR {
-	s, err := SimilarityContext(context.Background(), a, maxColDegree, colCounts)
-	if err != nil {
-		// Dimensions are a·aᵀ by construction and the context cannot be
-		// cancelled; failure is impossible.
-		panic("sparse: internal similarity dimension error: " + err.Error())
-	}
-	return s
-}
-
-// SimilarityContext is SimilarityCappedWithCounts with cooperative
-// cancellation: the two row-parallel passes stop launching chunks once ctx
-// is done and the call returns ctx.Err(). Cancellation during pass one
-// returns before the output index/value arrays are ever allocated, which is
-// what bounds the memory a cancelled plan can pin.
+// cap. colCounts are ColCounts(a) when the caller already holds them (the
+// spectral pipeline computes them for the hub threshold); nil computes them
+// on demand. Values are counted on the pattern of a, so counts of a and of
+// a.Pattern() are interchangeable.
+//
+// The two row-parallel passes stop launching chunks once ctx is done and the
+// call returns ctx.Err(). Cancellation during pass one returns before the
+// output index/value arrays are ever allocated, which is what bounds the
+// memory a cancelled plan can pin.
 func SimilarityContext(ctx context.Context, a *CSR, maxColDegree int, colCounts []int) (*CSR, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -66,15 +47,10 @@ func SimilarityContext(ctx context.Context, a *CSR, maxColDegree int, colCounts 
 	return spgemmCount(ctx, ap, at)
 }
 
-// DropHubColumns returns a pattern copy of m with all entries in columns of
-// degree > maxDeg removed.
-func DropHubColumns(m *CSR, maxDeg int) *CSR {
-	return DropHubColumnsWithCounts(m, maxDeg, ColCounts(m))
-}
-
-// DropHubColumnsWithCounts is DropHubColumns with the column degrees already
-// computed, avoiding a redundant ColCounts walk. It counts surviving entries
-// per row first, then fills disjoint pre-sized row regions in parallel.
+// DropHubColumnsWithCounts returns a pattern copy of m with all entries in
+// columns of degree > maxDeg removed, given the column degrees counts =
+// ColCounts(m). It counts surviving entries per row first, then fills
+// disjoint pre-sized row regions in parallel.
 func DropHubColumnsWithCounts(m *CSR, maxDeg int, counts []int) *CSR {
 	out := &CSR{Rows: m.Rows, Cols: m.Cols}
 	out.RowPtr = make([]int64, m.Rows+1)
@@ -108,15 +84,10 @@ func DropHubColumnsWithCounts(m *CSR, maxDeg int, counts []int) *CSR {
 	return out
 }
 
-// HubDegreeThreshold returns the default hub-exclusion threshold for a:
-// several times the mean column degree, floored so tiny matrices keep all
-// columns.
-func HubDegreeThreshold(a *CSR) int {
-	return HubDegreeThresholdFromCounts(ColCounts(a))
-}
-
-// HubDegreeThresholdFromCounts is HubDegreeThreshold on precomputed column
-// degrees, letting the pipeline share one ColCounts walk between threshold
+// HubDegreeThresholdFromCounts returns the default hub-exclusion threshold
+// for a matrix with column degrees counts = ColCounts(a): several times the
+// mean column degree, floored so tiny matrices keep all columns. Taking the
+// counts lets the pipeline share one ColCounts walk between threshold
 // selection and hub dropping.
 func HubDegreeThresholdFromCounts(counts []int) int {
 	nonEmpty := 0

@@ -1,7 +1,5 @@
 package sparse
 
-import "math"
-
 // Transpose returns mᵀ in CSR form. The result has sorted, unique column
 // indices by construction. Runs in O(rows + cols + nnz).
 func Transpose(m *CSR) *CSR {
@@ -45,14 +43,3 @@ func ColCounts(m *CSR) []int {
 	}
 	return counts
 }
-
-// RowCounts returns the number of stored entries in each row of m.
-func RowCounts(m *CSR) []int {
-	counts := make([]int, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		counts[i] = m.RowNNZ(i)
-	}
-	return counts
-}
-
-func sqrtFloat(x float64) float64 { return math.Sqrt(x) }

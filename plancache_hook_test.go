@@ -90,7 +90,7 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 	for name, o := range map[string]Options{
 		"seed":     {Seed: 2, ForceReorder: true, ForceK: 4, Cache: cache},
 		"forceK":   {Seed: 1, ForceReorder: true, ForceK: 8, Cache: cache},
-		"implicit": {Seed: 1, ForceReorder: true, ForceK: 4, ImplicitSimilarity: true, Cache: cache},
+		"implicit": {Seed: 1, ForceReorder: true, ForceK: 4, Similarity: SimImplicit, Cache: cache},
 	} {
 		p, err := Plan(m, &o)
 		if err != nil {
