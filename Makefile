@@ -17,8 +17,9 @@
 #                  and the fleet router's forward/hedge/probe paths
 #   make fuzz    — short fuzzing smoke over the sparse-format parsers, the
 #                  CSR constructor, the plan-cache entry decoder, the
-#                  decision-tree model loader, and the async queue's journal
-#                  recovery (the hostile-input hardening targets)
+#                  decision-tree model loader, the async queue's journal
+#                  recovery, and the anti-entropy peer-digest diff (the
+#                  hostile-input hardening targets)
 #   make chaos   — the long chaos soak: CHAOS_EPISODES (default 2000) seeded
 #                  end-to-end episodes through plan→cache→serve→queue with
 #                  faults armed (including queue-crash, tenant-storm, and
@@ -97,7 +98,7 @@ race-serve:
 # Seed-corpus-only pass: every fuzz target replays its checked-in corpus as
 # plain tests (no mutation engine), so check catches corpus regressions fast.
 fuzz-seeds:
-	$(GO) test ./internal/sparse/ ./internal/plancache/ ./internal/refine/ ./internal/planqueue/ -run 'Fuzz' -count=1
+	$(GO) test ./internal/sparse/ ./internal/plancache/ ./internal/refine/ ./internal/planqueue/ ./internal/antientropy/ -run 'Fuzz' -count=1
 	$(GO) test . -run 'FuzzDecodeModel' -count=1
 
 # Short deterministic chaos run (also part of `go test ./...`); kept as its
@@ -130,6 +131,7 @@ fuzz:
 	$(GO) test ./internal/plancache/ -run XXX -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/refine/ -run XXX -fuzz FuzzRefine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/planqueue/ -run XXX -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/antientropy/ -run XXX -fuzz FuzzComputeDiff -fuzztime $(FUZZTIME)
 	$(GO) test . -run XXX -fuzz FuzzDecodeModel -fuzztime $(FUZZTIME)
 
 bench:

@@ -32,6 +32,7 @@
 package antientropy
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -69,6 +70,24 @@ func DigestOf(c *plancache.Cache, prefix string) Digest {
 	return d
 }
 
+// Validate refuses a digest that DigestOf cannot have produced: one with a
+// key that is not a plan-cache key (plancache.ValidKey), or whose keys are
+// duplicated or out of ascending order. A peer's digest is untrusted input:
+// a duplicated key would schedule the same pull twice, and a malformed one
+// would be fetched and written under its name.
+func (d Digest) Validate() error {
+	for i, e := range d.Entries {
+		if !plancache.ValidKey(e.Key) {
+			return fmt.Errorf("antientropy: digest entry %d: malformed key %.80q", i, e.Key)
+		}
+		if i > 0 && e.Key <= d.Entries[i-1].Key {
+			return fmt.Errorf("antientropy: digest entry %d: key %.12s not above its predecessor %.12s",
+				i, e.Key, d.Entries[i-1].Key)
+		}
+	}
+	return nil
+}
+
 // Diff is the repair work implied by comparing a local cache against one
 // peer's digest, under an ownership predicate.
 type Diff struct {
@@ -83,10 +102,11 @@ type Diff struct {
 	NotOwned []string
 }
 
-// ComputeDiff compares the local cache against a peer digest. owns reports
-// whether the ring assigns a key to this node. The same function backs both
-// the repair loop and the ring-churn agreement test, so what the tests prove
-// about ring movement is exactly what the healer will do.
+// ComputeDiff compares the local cache against a peer digest that passed
+// Validate. owns reports whether the ring assigns a key to this node. The
+// same function backs both the repair loop and the ring-churn agreement
+// test, so what the tests prove about ring movement is exactly what the
+// healer will do.
 func ComputeDiff(c *plancache.Cache, peer Digest, owns func(key string) bool) Diff {
 	var d Diff
 	for _, pe := range peer.Entries {

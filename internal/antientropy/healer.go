@@ -568,7 +568,8 @@ func (h *Healer) DrainPush(ctx context.Context) {
 // harness's drained-spool invariant).
 func (h *Healer) HintsPending() int64 { return h.hints.pending() }
 
-// fetchDigest GETs one peer's cache digest.
+// fetchDigest GETs one peer's cache digest and refuses it unless it passes
+// Digest.Validate.
 func (h *Healer) fetchDigest(ctx context.Context, peer, prefix string) (Digest, error) {
 	url := peer + "/v1/cache/digest"
 	if prefix != "" {
@@ -592,6 +593,9 @@ func (h *Healer) fetchDigest(ctx context.Context, peer, prefix string) (Digest, 
 	var d Digest
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&d); err != nil {
 		return Digest{}, fmt.Errorf("antientropy: digest from %s: %w", peer, err)
+	}
+	if err := d.Validate(); err != nil {
+		return Digest{}, fmt.Errorf("antientropy: digest from %s refused: %w", peer, err)
 	}
 	return d, nil
 }

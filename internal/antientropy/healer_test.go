@@ -7,8 +7,12 @@ package antientropy_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -51,7 +55,13 @@ func newPeer(t *testing.T) *peer {
 	return &peer{cache: cache, srv: srv, ts: ts}
 }
 
-// mkEntry builds a valid entry under an arbitrary filename-safe key.
+// testKey maps a readable test name to a plan-cache key.
+func testKey(name string) string {
+	sum := sha256.Sum256([]byte(name))
+	return hex.EncodeToString(sum[:])
+}
+
+// mkEntry builds a valid entry under the plan-cache key of name.
 func mkEntry(t *testing.T, key string, k int) *plancache.Entry {
 	t.Helper()
 	const rows = 16
@@ -59,7 +69,7 @@ func mkEntry(t *testing.T, key string, k int) *plancache.Entry {
 	for i := range perm {
 		perm[i] = int32(rows - 1 - i)
 	}
-	return &plancache.Entry{Key: key, Perm: perm, Reordered: true, K: k}
+	return &plancache.Entry{Key: testKey(key), Perm: perm, Reordered: true, K: k}
 }
 
 // newHealer builds a healer for self over the given peers' URLs.
@@ -201,7 +211,7 @@ func TestDivergentConvergesToCanonicalBytes(t *testing.T) {
 	hb.RepairOnce(context.Background())
 
 	for name, c := range map[string]*plancache.Cache{"a": a.cache, "b": b.cache} {
-		got, ok := c.Peek("key-div")
+		got, ok := c.Peek(testKey("key-div"))
 		if !ok {
 			t.Fatalf("%s lost the key", name)
 		}
@@ -248,6 +258,49 @@ func TestWarmupStreamsOwnedKeys(t *testing.T) {
 	}
 }
 
+// TestWarmupRefusesBadPeerDigest: a peer digest is untrusted input. One
+// whose keys are out of order, duplicated or malformed is refused whole and
+// counted as a failed fetch; the same entries in a well-formed digest are
+// pulled.
+func TestWarmupRefusesBadPeerDigest(t *testing.T) {
+	b := newPeer(t)
+	for i := 0; i < 2; i++ {
+		if err := b.cache.Put(mkEntry(t, fmt.Sprintf("digest-%d", i), 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := antientropy.DigestOf(b.cache, "").Entries
+	for _, tc := range []struct {
+		name    string
+		entries []antientropy.DigestEntry
+		want    int
+	}{
+		{"ascending", good, 2},
+		{"unsorted", []antientropy.DigestEntry{good[1], good[0]}, 0},
+		{"duplicate", []antientropy.DigestEntry{good[0], good[0], good[1]}, 0},
+		{"malformed", append([]antientropy.DigestEntry{{Key: "../escaped", Size: 1}}, good...), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The peer serves b's entries behind the digest under test.
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/cache/digest" {
+					_ = json.NewEncoder(w).Encode(antientropy.Digest{Entries: tc.entries})
+					return
+				}
+				b.srv.Handler().ServeHTTP(w, r)
+			}))
+			t.Cleanup(bad.Close)
+			h := newHealer(t, newPeer(t), antientropy.Config{}, &peer{ts: bad})
+			if n := h.Warmup(context.Background()); n != tc.want {
+				t.Fatalf("Warmup fetched %d, want %d", n, tc.want)
+			}
+			if got := h.Stats().FetchFailures; tc.want == 0 && got != 1 {
+				t.Fatalf("FetchFailures = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // TestDrainPushHandsOffEntries: drain pushes local entries to replicas that
 // lack them, skipping ones they already hold.
 func TestDrainPushHandsOffEntries(t *testing.T) {
@@ -282,14 +335,14 @@ func TestDropNotOwnedHandsOffFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find a key owned by b under Replicas=1.
-	var key string
+	var name, key string
 	for i := 0; ; i++ {
-		key = fmt.Sprintf("stray-%03d", i)
-		if r.Owner(key) == b.ts.URL {
+		name = fmt.Sprintf("stray-%03d", i)
+		if key = testKey(name); r.Owner(key) == b.ts.URL {
 			break
 		}
 	}
-	if err := a.cache.Put(mkEntry(t, key, 4)); err != nil {
+	if err := a.cache.Put(mkEntry(t, name, 4)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,14 +3,23 @@ package antientropy
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bootes/internal/plancache"
 	"bootes/internal/sparse"
 )
 
-// spoolEntry builds a valid encoded entry under an arbitrary filename-safe
-// key (the spool never decodes the plan's matrix, only the container).
+// Plan-cache keys for the spool tests, in ascending order (the spool never
+// decodes the plan's matrix, only the container, so any valid key will do).
+var (
+	keyA = strings.Repeat("a", 64)
+	keyB = strings.Repeat("b", 64)
+	keyC = strings.Repeat("c", 64)
+	keyD = strings.Repeat("d", 64)
+)
+
+// spoolEntry builds a valid encoded entry under key.
 func spoolEntry(t *testing.T, key string, rows int) []byte {
 	t.Helper()
 	perm := make(sparse.Permutation, rows)
@@ -35,12 +44,12 @@ func TestHintStoreRoundTrip(t *testing.T) {
 		t.Fatal("fresh spool pending != 0")
 	}
 
-	dataB := spoolEntry(t, "bbb", 8)
-	dataA := spoolEntry(t, "aaa", 8)
+	dataB := spoolEntry(t, keyB, 8)
+	dataA := spoolEntry(t, keyA, 8)
 	for _, kv := range []struct {
 		k string
 		d []byte
-	}{{"bbb", dataB}, {"aaa", dataA}} {
+	}{{keyB, dataB}, {keyA, dataA}} {
 		stored, err := h.put(peer, kv.k, kv.d)
 		if err != nil || !stored {
 			t.Fatalf("put %s = (%v, %v)", kv.k, stored, err)
@@ -49,7 +58,7 @@ func TestHintStoreRoundTrip(t *testing.T) {
 
 	// Replay order is deterministic: ascending key, regardless of park order.
 	ks, err := h.keys(peer)
-	if err != nil || len(ks) != 2 || ks[0] != "aaa" || ks[1] != "bbb" {
+	if err != nil || len(ks) != 2 || ks[0] != keyA || ks[1] != keyB {
 		t.Fatalf("keys = %v, %v", ks, err)
 	}
 	if got := h.pending(); got != 2 {
@@ -60,15 +69,15 @@ func TestHintStoreRoundTrip(t *testing.T) {
 	}
 
 	// The per-peer bound refuses the third hint without error.
-	if stored, err := h.put(peer, "ccc", spoolEntry(t, "ccc", 8)); err != nil || stored {
+	if stored, err := h.put(peer, keyC, spoolEntry(t, keyC, 8)); err != nil || stored {
 		t.Fatalf("over-bound put = (%v, %v), want dropped", stored, err)
 	}
 
 	// Load validates; a corrupt hint is deleted, not delivered.
-	if data, err := h.load(peer, "aaa"); err != nil || len(data) == 0 {
+	if data, err := h.load(peer, keyA); err != nil || len(data) == 0 {
 		t.Fatalf("load = %v", err)
 	}
-	hintPath := filepath.Join(h.peerDir(peer), "bbb"+hintExt)
+	hintPath := filepath.Join(h.peerDir(peer), keyB+hintExt)
 	raw, err := os.ReadFile(hintPath)
 	if err != nil {
 		t.Fatal(err)
@@ -77,14 +86,14 @@ func TestHintStoreRoundTrip(t *testing.T) {
 	if err := os.WriteFile(hintPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.load(peer, "bbb"); err == nil {
+	if _, err := h.load(peer, keyB); err == nil {
 		t.Fatal("corrupt hint loaded")
 	}
 	if _, err := os.Stat(hintPath); !os.IsNotExist(err) {
 		t.Fatal("corrupt hint not deleted")
 	}
 
-	h.remove(peer, "aaa")
+	h.remove(peer, keyA)
 	if h.pending() != 0 {
 		t.Fatalf("pending after remove = %d", h.pending())
 	}
@@ -93,7 +102,7 @@ func TestHintStoreRoundTrip(t *testing.T) {
 	// plancache.Open skips subdirectories.
 	cacheDir := t.TempDir()
 	h2 := &hintStore{dir: filepath.Join(cacheDir, "hints")}
-	if _, err := h2.put(peer, "ddd", spoolEntry(t, "ddd", 8)); err != nil {
+	if _, err := h2.put(peer, keyD, spoolEntry(t, keyD, 8)); err != nil {
 		t.Fatal(err)
 	}
 	c, err := plancache.Open(cacheDir)

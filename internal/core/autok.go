@@ -233,10 +233,12 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 	// The refined operator's job ends at selecting k. Its eigenvectors make
 	// a poor ordering embedding — thresholding and diffusion erase the weak
 	// ties that guide within-cluster layout — so the embedding comes from a
-	// second, standard eigensolve over the raw similarity, mirroring the
-	// fixed-k sweep path (same solver, seeds, and NJW normalization). Auto-k
-	// therefore costs one block solve for the spectrum plus one Lanczos
-	// solve at the selected k.
+	// second Lanczos solve over the raw similarity at the selected k. It
+	// runs at eigen's package defaults (Tol 1e-8), like SpectralSweepContext,
+	// not at the clustering grade of clusterEigenOptions: at 1e-2 the
+	// many-small-clusters embedding loses its edge over the sweep (0.2890 vs
+	// 0.2791 in TestAutoKSelectorComparison). Auto-k therefore costs one
+	// block solve for the spectrum plus one tight Lanczos solve.
 	rawOp := eigen.NewNormalizedSimilarity(sim)
 	reo := base.Eigen
 	reo.K = k
@@ -254,7 +256,7 @@ func (p *Pipeline) attemptAutoK(ctx context.Context, a *sparse.CSR, base Spectra
 		return nil, "", fmt.Errorf("core: auto-k embedding solve: %w", err)
 	}
 
-	// NJW embedding + k-means + layout, identical to the fixed-k pass.
+	// NJW embedding + k-means + layout, seeded per k as the sweep seeds it.
 	endKMeans := obs.StartStage(ctx, obs.StageKMeans)
 	defer endKMeans()
 	embedding := buildEmbedding(rawRes.Vectors, n, k)

@@ -92,13 +92,7 @@ func estimateFootprint(a *sparse.CSR, opts SpectralOptions, materialized bool) i
 		simBytes = implicitOperatorBytes(n, a.Cols, a.NNZ(), hub > 0)
 	}
 
-	maxBasis := opts.Eigen.MaxBasis
-	if maxBasis == 0 {
-		maxBasis = 2*k + 16
-		if maxBasis < 48 {
-			maxBasis = 48
-		}
-	}
+	maxBasis := clusterEigenOptions(k, opts.Eigen, opts.Seed).MaxBasis
 	degreeWork := int64(n) * 8 * 2
 	basisBytes := int64(maxBasis+1) * int64(n) * 8
 	eigPhase := simBytes + degreeWork + basisBytes

@@ -24,11 +24,6 @@ var ErrInternalPanic = errors.New("core: internal panic during planning")
 // start vector from the failed attempt.
 const retrySeedMix = 0x5DEECE66D
 
-// looseTol is the relaxed eigensolver tolerance used by the retry and
-// fixed-small-k rungs: clustering only needs the invariant subspace roughly,
-// so a coarse solve is still a useful plan.
-const looseTol = 1e-2
-
 // rung is one step of the degradation ladder: a named spectral configuration
 // to attempt.
 type rung struct {
@@ -43,15 +38,17 @@ type rung struct {
 //	approx:        requested → implicit-similarity → retry → fixed small k
 //	implicit:      requested → retry → fixed small k
 //
-// where retry runs the implicit operator with a fresh seed and a loose tol,
-// and fixed small k is k=2, implicit, loose, small basis. The first rung is
-// the caller's own configuration. No rung repeats the operator the request
-// already runs: the exact, bitset and implicit tiers all apply the same
-// matrix-free operator with the same footprint estimate and seed, so the
-// implicit rung is inserted only after an approximate request, and the
-// approx rung — the LSH-sparsified similarity — only after an exact-class
-// one. The identity rung is not in the list — it is the unconditional floor
-// the caller falls to when every listed rung is skipped or fails.
+// where retry runs the implicit operator with a fresh seed at no tighter
+// than looseTol (under default options, the requested rung's own tolerance,
+// so only the seed differs), and fixed small k is k=2, implicit, loose,
+// small basis. The first rung is the caller's own configuration. No rung
+// repeats the operator the request already runs: the exact, bitset and
+// implicit tiers all apply the same matrix-free operator with the same
+// footprint estimate and seed, so the implicit rung is inserted only after
+// an approximate request, and the approx rung — the LSH-sparsified
+// similarity — only after an exact-class one. The identity rung is not in
+// the list — it is the unconditional floor the caller falls to when every
+// listed rung is skipped or fails.
 func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
 	var ladder []rung
 	ladder = append(ladder, rung{name: "requested", opts: base})
@@ -71,7 +68,7 @@ func buildLadder(base SpectralOptions, eff SimilarityMode) []rung {
 	retry := impl
 	retry.Seed = impl.Seed ^ retrySeedMix
 	retry.Eigen.Seed = 0 // re-derive from the mixed Seed
-	if retry.Eigen.Tol == 0 || retry.Eigen.Tol < looseTol {
+	if retry.Eigen.Tol < looseTol {
 		retry.Eigen.Tol = looseTol
 	}
 	ladder = append(ladder, rung{name: "retry-loose", opts: retry})

@@ -10,7 +10,11 @@ import (
 	"bootes/internal/faultinject"
 )
 
-// Options configures the Lanczos eigensolver.
+// Options configures the Lanczos eigensolver. The zero-value defaults below
+// aim at accurate eigenpairs; the planner's clustering solves do not use
+// them but resolve their own looser defaults in package core
+// (clusterEigenOptions). Of the planner's solves, only core's k sweep and
+// the auto-k embedding solve run at these.
 type Options struct {
 	// K is the number of wanted eigenpairs (the largest eigenvalues of the
 	// operator).

@@ -24,7 +24,9 @@ const planMidRows = 6144
 // the explicit and factored forms of the operator must both take it.
 const planMidMatVecs = 280
 
-// planMidOptions mirrors the options core.Spectral passes for k=32.
+// planMidOptions are core.Spectral's k=32 options with the Ritz tolerance
+// tightened from its clustering grade (1e-2) to 1e-5, so the fixture runs
+// enough restarts to exercise the kernels.
 var planMidOptions = Options{K: 32, Tol: 1e-5, MaxRestarts: 12, MaxBasis: 80, Seed: 1}
 
 // planMidMatrix is a 6144-row scrambled-block matrix with 32 nnz per row,

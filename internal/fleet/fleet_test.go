@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -476,13 +477,14 @@ func TestRedirectMode(t *testing.T) {
 // TestFillSkipsDownPeersAndVerifiesKey: Fill ignores down peers and rejects
 // an entry whose embedded key does not match the request.
 func TestFillSkipsDownPeersAndVerifiesKey(t *testing.T) {
+	someKey, otherKey := strings.Repeat("a", 64), strings.Repeat("b", 64)
 	var wrongKey atomic.Bool
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
 			return
 		}
 		e := &plancache.Entry{
-			Key:       "deadbeef",
+			Key:       strings.Repeat("d", 64),
 			Perm:      sparse.Permutation{1, 0},
 			Reordered: true,
 			K:         2,
@@ -501,11 +503,11 @@ func TestFillSkipsDownPeersAndVerifiesKey(t *testing.T) {
 
 	h := newRouterHarness(t, Config{Replicas: 3}, backend)
 	ctx := context.Background()
-	if e, ok := h.rt.Fill(ctx, "somekey"); !ok || e == nil || e.Key != "somekey" {
+	if e, ok := h.rt.Fill(ctx, someKey); !ok || e == nil || e.Key != someKey {
 		t.Fatalf("Fill = (%v, %v), want a matching entry", e, ok)
 	}
 	wrongKey.Store(true)
-	if _, ok := h.rt.Fill(ctx, "otherkey"); ok {
+	if _, ok := h.rt.Fill(ctx, otherKey); ok {
 		t.Error("Fill accepted an entry whose embedded key mismatched")
 	}
 
@@ -514,7 +516,7 @@ func TestFillSkipsDownPeersAndVerifiesKey(t *testing.T) {
 	p.mu.Lock()
 	p.isUp = false
 	p.mu.Unlock()
-	if _, ok := h.rt.Fill(ctx, "somekey"); ok {
+	if _, ok := h.rt.Fill(ctx, someKey); ok {
 		t.Error("Fill consulted a down peer")
 	}
 }

@@ -84,6 +84,22 @@ func KeyCSR(m *sparse.CSR) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// ValidKey reports whether key has the form KeyCSR produces: 64 lowercase
+// hex digits. Keys name files in the cache directory and arrive from peers
+// and HTTP paths, so every entry point refuses any other string — a key
+// such as "../x" would otherwise name a file outside the directory.
+func ValidKey(key string) bool {
+	if len(key) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // EncodeEntry serializes e into the container format.
 func EncodeEntry(e *Entry) ([]byte, error) {
 	if len(e.Key) > math.MaxUint16 || len(e.DegradedReason) > math.MaxUint16 {
@@ -126,9 +142,9 @@ func EncodeEntry(e *Entry) ([]byte, error) {
 
 // DecodeEntry parses and integrity-checks a serialized entry. Every failure
 // mode — bad magic, unknown version, truncation anywhere, CRC mismatch,
-// implausible lengths, a non-bijective permutation — returns an error
-// wrapping ErrCorrupt; DecodeEntry never panics on hostile input (fuzzed by
-// FuzzDecodeEntry).
+// implausible lengths, a malformed key, a non-bijective permutation —
+// returns an error wrapping ErrCorrupt; DecodeEntry never panics on hostile
+// input (fuzzed by FuzzDecodeEntry).
 func DecodeEntry(data []byte) (*Entry, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("%w: %d-byte file shorter than header", ErrCorrupt, len(data))
@@ -166,6 +182,9 @@ func DecodeEntry(data []byte) (*Entry, error) {
 		return nil, fmt.Errorf("%w: key: %v", ErrCorrupt, err)
 	}
 	e.Key = string(key)
+	if !ValidKey(e.Key) {
+		return nil, fmt.Errorf("%w: malformed key %q", ErrCorrupt, e.Key)
+	}
 	var flags uint8
 	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
 		return nil, fmt.Errorf("%w: flags: %v", ErrCorrupt, err)

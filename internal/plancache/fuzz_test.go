@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"bootes/internal/sparse"
@@ -16,7 +17,7 @@ import (
 func FuzzDecodeEntry(f *testing.F) {
 	// Seed with a valid entry and targeted mutations of it.
 	valid, err := EncodeEntry(&Entry{
-		Key:       "abc123",
+		Key:       strings.Repeat("ab", 32),
 		Perm:      sparse.Permutation{2, 0, 1},
 		Reordered: true,
 		K:         8,

@@ -163,8 +163,12 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 
 // Peek returns the cached entry for key without touching the hit/miss
 // counters: the fleet's peer-fill endpoint reads through Peek so sibling
-// traffic does not distort this node's own cache-health statistics.
+// traffic does not distort this node's own cache-health statistics. A
+// malformed key is a miss.
 func (c *Cache) Peek(key string) (*Entry, bool) {
+	if !ValidKey(key) {
+		return nil, false
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.entries[key]
@@ -176,16 +180,16 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 // the in-memory index, so readers never observe an entry the disk does not
 // durably hold. A write failure leaves both disk and index unchanged.
 //
-// Verification is always on: the permutation must be a bijection, K a
-// candidate cluster count, and degraded plans are rejected outright — a
-// degraded plan reflects the moment's faults, not the matrix, and must never
-// be replayed from cache. The encoded bytes must additionally decode and
+// Verification is always on: the key must satisfy ValidKey, the
+// permutation must be a bijection, K a candidate cluster count, and
+// degraded plans are rejected outright — a degraded plan reflects the
+// moment's faults, not the matrix, and must never be replayed from cache. The encoded bytes must additionally decode and
 // re-encode bit-identically, so what the cache persists is provably exactly
 // what a future Open will serve. Violations are counted by planverify and
 // fail the Put without touching disk.
 func (c *Cache) Put(e *Entry) error {
-	if e.Key == "" {
-		return fmt.Errorf("plancache: empty key")
+	if !ValidKey(e.Key) {
+		return fmt.Errorf("plancache: malformed key %.80q", e.Key)
 	}
 	if err := planverify.CachePut(e.Perm, e.K, e.Reordered, e.Degraded, e.DegradedReason); err != nil {
 		c.mu.Lock()
@@ -269,8 +273,12 @@ func (c *Cache) Stat(key string) (EntryStat, bool) {
 
 // Delete removes key's entry from disk and the index. Used by the
 // anti-entropy repair loop to drop entries this node no longer owns after a
-// ring change. Deleting an absent key is a no-op.
+// ring change. Deleting an absent key is a no-op, and a malformed key is
+// never indexed: it returns before naming a path.
 func (c *Cache) Delete(key string) error {
+	if !ValidKey(key) {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {
@@ -289,8 +297,12 @@ func (c *Cache) Delete(key string) error {
 // invariants (CRC, structure, key match) plus bit-agreement with the index's
 // recorded stat. A failure quarantines the file, evicts the entry from the
 // index, and returns the decode error — the caller (the anti-entropy
-// scrubber) then repairs from a peer. Scrubbing an unindexed key is a no-op.
+// scrubber) then repairs from a peer. Scrubbing an unindexed key is a no-op,
+// and a malformed key is never indexed: it returns before naming a path.
 func (c *Cache) Scrub(key string) error {
+	if !ValidKey(key) {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {

@@ -389,6 +389,75 @@ func TestPutEmptyKeyRejected(t *testing.T) {
 	}
 }
 
+// TestMalformedKeysStayInsideDir: a key names a file, so a traversal key
+// such as "../escaped" must never reach the disk. Put refuses every key that
+// is not KeyCSR's 64-char lowercase hex, DecodeEntry refuses entries that
+// carry one, and Peek, Delete and Scrub treat one as absent without touching
+// a file planted where the traversal would point.
+func TestMalformedKeysStayInsideDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := testEntry(t, testMatrix(t, 1))
+	planted := filepath.Join(root, "planted"+Ext)
+	if err := os.WriteFile(planted, []byte("outside"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{
+		"../escaped",
+		"../../escaped",
+		"../planted",
+		"sub/" + valid.Key[4:],
+		strings.ToUpper(valid.Key),
+		valid.Key[:63],
+		valid.Key + "0",
+		valid.Key[:63] + "g",
+	} {
+		e := testEntry(t, testMatrix(t, 1))
+		e.Key = key
+		if err := c.Put(e); err == nil {
+			t.Errorf("Put(%q) accepted", key)
+		}
+		data, err := EncodeEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeEntry(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeEntry with key %q = %v, want ErrCorrupt", key, err)
+		}
+		if _, ok := c.Peek(key); ok {
+			t.Errorf("Peek(%q) hit", key)
+		}
+		if err := c.Delete(key); err != nil {
+			t.Errorf("Delete(%q) = %v", key, err)
+		}
+		if err := c.Scrub(key); err != nil {
+			t.Errorf("Scrub(%q) = %v", key, err)
+		}
+	}
+	names, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range names {
+		if de.Name() != "cache" && de.Name() != "planted"+Ext {
+			t.Errorf("%s written outside the cache dir", de.Name())
+		}
+	}
+	if _, err := os.Stat(planted); err != nil {
+		t.Errorf("file outside the cache dir touched: %v", err)
+	}
+	if inside, err := os.ReadDir(dir); err != nil || len(inside) != 0 {
+		t.Errorf("cache dir holds %d files (%v), want none", len(inside), err)
+	}
+	if got := c.Stats().WriteErrors; got != 0 {
+		t.Errorf("WriteErrors = %d: malformed keys are refused before any write attempt", got)
+	}
+}
+
 func ExampleKeyCSR() {
 	m := sparse.Identity(4, false)
 	fmt.Println(len(KeyCSR(m)))

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"bootes/internal/antientropy"
@@ -38,6 +41,54 @@ func healthyEntry(t *testing.T, m *sparse.CSR) *plancache.Entry {
 		perm[i] = int32(n - 1 - i)
 	}
 	return &plancache.Entry{Key: plancache.KeyCSR(m), Perm: perm, Reordered: true, K: 4}
+}
+
+// TestCacheEndpointsRejectTraversalKeys: the mux unescapes "%2F" before
+// {key} reaches the handler, so a PUT to /v1/cache/..%2F..%2Fescaped would
+// name a file two levels above the cache dir. Both cache endpoints answer
+// 400 to any key that is not a plan-cache key, and nothing is written.
+func TestCacheEndpointsRejectTraversalKeys(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "cache")
+	cache, err := plancache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Plan: (&countingPlanner{}).fn(), Cache: cache})
+
+	e := healthyEntry(t, testMatrix(t, 1))
+	for _, tc := range []struct{ path, key string }{
+		{"..%2F..%2Fescaped", "../../escaped"},
+		{"..%2Fescaped", "../escaped"},
+		{strings.ToUpper(e.Key), strings.ToUpper(e.Key)},
+		{e.Key[:60], e.Key[:60]},
+	} {
+		e.Key = tc.key
+		data, err := plancache.EncodeEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := putEntry(t, ts.URL, tc.path, data); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("PUT %s: status %d, want 400", tc.path, resp.StatusCode)
+		}
+		resp, err := http.Get(ts.URL + "/v1/cache/" + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", tc.path, resp.StatusCode)
+		}
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("file written: %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCachePutEndpoint covers the ingest endpoint's verification bar and the

@@ -468,7 +468,11 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no plan cache on this node", http.StatusNotFound)
 		return
 	}
-	e, ok := s.cfg.Cache.Peek(r.PathValue("key"))
+	key, ok := cacheKey(w, r)
+	if !ok {
+		return
+	}
+	e, ok := s.cfg.Cache.Peek(key)
 	if !ok {
 		http.Error(w, "not cached", http.StatusNotFound)
 		return
@@ -480,6 +484,19 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(data)
+}
+
+// cacheKey reads the {key} path value of a /v1/cache/{key} request and
+// answers 400 unless it is a plan-cache key (plancache.ValidKey): the key
+// names a file in the cache directory, and the mux has already unescaped
+// "%2F", so "..%2Fx" arrives as "../x".
+func cacheKey(w http.ResponseWriter, r *http.Request) (string, bool) {
+	key := r.PathValue("key")
+	if !plancache.ValidKey(key) {
+		http.Error(w, fmt.Sprintf("malformed cache key %.80q", key), http.StatusBadRequest)
+		return "", false
+	}
+	return key, true
 }
 
 // handleCachePut is the anti-entropy ingest endpoint: replication pushes,
@@ -495,7 +512,10 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no plan cache on this node", http.StatusNotFound)
 		return
 	}
-	key := r.PathValue("key")
+	key, ok := cacheKey(w, r)
+	if !ok {
+		return
+	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

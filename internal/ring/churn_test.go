@@ -33,7 +33,7 @@ func TestRingChurnAgreement(t *testing.T) {
 
 	keys := make([]string, nKeys)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("k%03d", i)
+		keys[i] = fmt.Sprintf("%064x", i) // plan-cache keys are 64 hex digits
 	}
 
 	// OwnedBy must agree with scanning Replicas, and every key must have

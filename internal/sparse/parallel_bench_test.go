@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"bootes/internal/parallel"
@@ -68,56 +67,6 @@ func BenchmarkSimilarity(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// spgemmCountLegacy is the pre-parallel one-pass similarity kernel (per-row
-// sort.Slice + append growth), kept verbatim as the baseline for
-// BenchmarkSimilarityLegacy so the single-thread win of the two-pass scheme
-// stays measurable.
-func spgemmCountLegacy(a, b *CSR) *CSR {
-	c := &CSR{Rows: a.Rows, Cols: b.Cols}
-	c.RowPtr = make([]int64, a.Rows+1)
-	c.Val = []float64{}
-	acc := make([]float64, b.Cols)
-	mark := make([]int64, b.Cols)
-	for i := range mark {
-		mark[i] = -1
-	}
-	touched := make([]int32, 0, 256)
-	for i := 0; i < a.Rows; i++ {
-		touched = touched[:0]
-		for _, k := range a.Row(i) {
-			for _, j := range b.Row(int(k)) {
-				if mark[j] != int64(i) {
-					mark[j] = int64(i)
-					acc[j] = 0
-					touched = append(touched, j)
-				}
-				acc[j]++
-			}
-		}
-		sort.Slice(touched, func(x, y int) bool { return touched[x] < touched[y] })
-		for _, j := range touched {
-			c.Col = append(c.Col, j)
-			c.Val = append(c.Val, acc[j])
-		}
-		c.RowPtr[i+1] = int64(len(c.Col))
-	}
-	return c
-}
-
-func BenchmarkSimilarityLegacy(b *testing.B) {
-	a := benchMatrix(2000, 24, 7)
-	counts := ColCounts(a)
-	ap := DropHubColumnsWithCounts(a.Pattern(), HubDegreeThresholdFromCounts(counts), counts)
-	at := Transpose(ap)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := spgemmCountLegacy(ap, at)
-		if s.NNZ() == 0 {
-			b.Fatal("empty similarity matrix")
-		}
 	}
 }
 
